@@ -135,10 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--kernel",
         default="auto",
-        choices=("auto", "reference", "csr", "batch", "native", "jit"),
-        help="traversal kernel for the engine (auto dispatches per call; "
-        "native forces the compiled C walker and fails without a C "
-        "toolchain, jit is its legacy alias)",
+        choices=("auto", "reference", "csr", "batch", "native"),
+        help="traversal kernel for the engine (auto picks the compiled C "
+        "walker when it loads, else the python kernels; native forces the "
+        "C walker and fails without a C toolchain)",
     )
     serve.add_argument(
         "--workers",

@@ -115,9 +115,10 @@ class ClusterEngine:
         the cluster version.
     kernel:
         Traversal kernel for every shard engine (``"auto"`` default —
-        per-call dispatch via :func:`~repro.core.dispatch.select_kernel`,
-        including the lane-parallel batch kernel for forwarded weight
-        groups); an explicit ``engine_kwargs["kernel"]`` wins.
+        dispatch via :func:`~repro.core.dispatch.select_kernel`: the
+        native walker when it loads, else the python kernels, including
+        the lane-parallel batch kernel for forwarded weight groups); an
+        explicit ``engine_kwargs["kernel"]`` wins.
     merge:
         Default merge strategy (overridable per query).
     replicate:

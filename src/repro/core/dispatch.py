@@ -1,47 +1,42 @@
 """Auto kernel dispatch for Algorithm 2 traversals.
 
-BENCH_query.json (committed, full scale) shows no single kernel wins
-everywhere:
+Every kernel walks the same Algorithm 2 and returns bitwise-identical
+answers and Definition-9 counts, so dispatch only picks the fastest
+one.  BENCH_query.json (committed, full scale) sets the order:
 
 * the **native** compiled kernel (``repro/core/native/`` — the C classic
-  walk loaded via cffi ABI mode) removes the per-round python overhead
-  entirely and wins every *solo* cell where it is available, by 5–9x
-  over csr at full scale;
-* the CSR kernel is 2.4–3.4x faster than the per-node reference at d=4,
-  and still 1.2–1.3x faster at d=2 once the structure reaches ~100k
-  tuples — vectorized gate relaxation amortizes well when pops open many
-  children;
-* but on *small low-dimensional* structures (d=2, n=10k: 0.89x IND,
-  0.73x ANT) the reference kernel wins among the python kernels: pops
-  open only a handful of children there, and the fixed overhead of
-  whole-slice numpy ops exceeds the python loop it replaces;
-* and once a caller presents many queries at once, the lane-parallel
-  batch kernel beats the solo kernels — it walks the gate graph once per
-  *round* for all lanes and scores every lane's opened children in one
-  GEMM-shaped contraction (see BENCH_query.json's ``batch`` sweep).
+  walk loaded via cffi ABI mode) wins every cell it supports at every
+  batch width: one native walk per query beats the python lane-parallel
+  batch kernel's best per-query cost at any committed width up to B=128.  ``auto`` therefore
+  picks it whenever :func:`native_kernel_usable` holds, and
+  :meth:`~repro.serving.QueryEngine.query_batch` walks a group lane by
+  lane through it;
+* without a compiler, the lane-parallel **batch** kernel serves groups
+  of at least :data:`AUTO_BATCH_MIN_LANES` same-k queries — it walks the
+  gate graph once per *round* for all lanes and scores every lane's
+  opened children in one contraction;
+* single compiler-less queries run the **csr** kernel, except on small
+  low-dimensional structures where the per-node **reference** kernel
+  wins: pops open only a handful of children there, and the fixed cost
+  of whole-slice numpy ops exceeds the python loop it replaces.
 
-``select_kernel`` encodes those calibrated crossover points so
-``kernel="auto"`` (the serving/cluster default) picks the right kernel
-from structure size, dimensionality, batch width, and — when pruning is
-requested — whether the structure actually carries a bound table
-(structures frozen without bounds cannot serve a pruning-dependent
-plan, so ``auto`` falls back to a bound-free kernel there).
+When pruning is requested, ``auto`` also checks that the structure
+carries a bound table (structures frozen without bounds cannot serve a
+pruning-dependent plan, so ``auto`` falls back to a bound-free kernel).
 
-The ``"native"`` kernel (alias ``"jit"``, kept for compatibility with
-the PR 8 registration slot) is served through
-:func:`register_jit_kernel` / :func:`get_jit_kernel`.  On first demand
-the bundled C walker auto-registers itself — building its ``.so`` with
-the host compiler if no cached build exists.  When no compiler is
-present or the build fails, the ``auto`` path logs one warning and
-falls back to the python kernels permanently; only an explicit
-``kernel="native"`` request raises
+The native kernel is reached through :func:`get_jit_kernel`, which
+builds the bundled C walker's ``.so`` with the host compiler on first
+use.  When no compiler is present or the build fails, the ``auto`` path
+logs one warning and falls back to the python kernels permanently; only
+an explicit ``kernel="native"`` request raises
 :class:`~repro.exceptions.KernelUnavailableError`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
+from repro.core import native as _native
 from repro.core.structure import LayerStructure
 from repro.exceptions import KernelUnavailableError
 
@@ -58,20 +53,18 @@ AUTO_SMALL_STRUCTURE_NODES = 32768
 AUTO_SMALL_STRUCTURE_DIM = 2
 
 #: Minimum number of same-k query lanes before the lane-parallel batch
-#: kernel is dispatched. Calibrated from BENCH_query.json's batch sweep:
-#: at B=8 the batch kernel already beats per-query csr on every
-#: committed cell, while B<8 round overheads can lose on small cells.
-#: The crossover survives the native kernel: at B=8 the batch kernel's
-#: one-GEMM-per-round scoring still beats eight compiled solo walks on
-#: the committed cells, so batch dispatch is unchanged.
+#: kernel is dispatched on a host without the native kernel. Calibrated
+#: from BENCH_query.json's batch sweep: at B=8 the batch kernel already
+#: beats per-query csr on every committed cell, while B<8 round
+#: overheads can lose on small cells. Never consulted when the native
+#: kernel is usable — one native walk per lane beats the batch kernel's
+#: per-query cost at every committed width.
 AUTO_BATCH_MIN_LANES = 8
 
 #: Dimensionality ceiling for the native kernel's bitwise contract
 #: (numpy's einsum switches its float reduction tree at d=8; the C dot
-#: product reproduces the d<=7 association exactly).  Mirrored from
-#: :data:`repro.core.native.NATIVE_MAX_DIM` to keep this module import-
-#: light; a unit test pins the two equal.
-NATIVE_DISPATCH_MAX_DIM = 7
+#: product reproduces the d<=7 association exactly).
+NATIVE_DISPATCH_MAX_DIM = _native.NATIVE_MAX_DIM
 
 #: Node-count ceiling for the native kernel: structures at or above
 #: this size use an int64 gate-state template the C walker does not
@@ -79,63 +72,21 @@ NATIVE_DISPATCH_MAX_DIM = 7
 #: committed bench grid).
 NATIVE_DISPATCH_MAX_NODES = 2**30 - 1
 
-VALID_KERNELS = ("auto", "reference", "csr", "batch", "native", "jit")
-
-#: Registered compiled solo kernel, or ``None``. Filled either by the
-#: bundled native walker's lazy auto-registration (see
-#: :func:`get_jit_kernel`) or explicitly by :func:`register_jit_kernel`
-#: with any compiled walker honouring the ``process_top_k`` signature.
-_JIT_KERNEL: Optional[Callable] = None
-
-#: One-shot flag: the native auto-registration is attempted at most
-#: once per process (success or failure), so a missing compiler costs
-#: one probe, not one per query.
-_AUTOLOAD_ATTEMPTED = False
-
-
-def register_jit_kernel(kernel: Optional[Callable]) -> None:
-    """Install (or with ``None``, clear) the ``kernel="native"``/``"jit"`` slot.
-
-    The callable must honour the :func:`repro.core.query.process_top_k`
-    signature and its bitwise-identity contract — registration is a
-    promise, not a check; the equivalence suites are the check.
-    Clearing the slot also re-arms the native auto-registration probe.
-    """
-    global _JIT_KERNEL, _AUTOLOAD_ATTEMPTED
-    _JIT_KERNEL = kernel
-    if kernel is None:
-        _AUTOLOAD_ATTEMPTED = False
-
-
-def _try_autoload_native() -> None:
-    """Attempt (once) to register the bundled C walker."""
-    global _AUTOLOAD_ATTEMPTED
-    if _AUTOLOAD_ATTEMPTED:
-        return
-    _AUTOLOAD_ATTEMPTED = True
-    try:
-        from repro.core.native import get_native_kernel
-
-        kernel = get_native_kernel()
-    except Exception:
-        # Missing compiler, failed build, failed self-check, absent
-        # cffi — all leave the slot empty; get_jit_kernel raises the
-        # actionable error for explicit requests, the auto path warns
-        # once via native_ready(warn=True) and falls back.
-        return
-    register_jit_kernel(kernel)
+VALID_KERNELS = ("auto", "reference", "csr", "batch", "native")
 
 
 def get_jit_kernel() -> Callable:
     """Return the compiled kernel or raise :class:`KernelUnavailableError`.
 
-    Reached by explicit ``kernel="native"``/``"jit"`` requests and by
-    ``auto`` dispatches that already verified availability through
-    :func:`native_kernel_usable`, so the error names the remedy.
+    Reached by explicit ``kernel="native"`` requests and by ``auto``
+    dispatches that already verified availability through
+    :func:`native_kernel_usable`, so the error names the remedy.  The
+    first call builds (or loads the cached) C walker; a failed build is
+    remembered by the loader, so later calls fail just as fast.
     """
-    if _JIT_KERNEL is None:
-        _try_autoload_native()
-    if _JIT_KERNEL is None:
+    try:
+        return _native.get_native_kernel()
+    except Exception as exc:
         raise KernelUnavailableError(
             "kernel='native' requested but no compiled walk kernel is "
             "available: the bundled C walker could not be built — a C "
@@ -143,27 +94,20 @@ def get_jit_kernel() -> Callable:
             "build under the native cache dir; see "
             "repro.core.native.build_info() for the failure detail, or "
             "use kernel='auto' to serve via the python kernels"
-        )
-    return _JIT_KERNEL
+        ) from exc
 
 
 def native_kernel_usable(n_nodes: int, d: int) -> bool:
     """Can ``auto`` dispatch this shape to the native kernel right now?
 
-    Shape gates first (cheap, no import): the bitwise contract covers
+    Shape gates first (cheap): the bitwise contract covers
     d <= 7 and int32 gate-state structures only.  Then the build/load
     probe — which compiles on first use, logs one warning on failure,
     and is a cached boolean ever after.  Never raises.
     """
     if d > NATIVE_DISPATCH_MAX_DIM or n_nodes > NATIVE_DISPATCH_MAX_NODES:
         return False
-    if _JIT_KERNEL is not None:
-        return True
-    try:
-        from repro.core.native import native_ready
-    except Exception:  # pragma: no cover - core.native always importable
-        return False
-    return native_ready(warn=True)
+    return _native.native_ready(warn=True)
 
 
 def select_kernel(
@@ -190,12 +134,11 @@ def select_kernel(
     :attr:`~repro.core.structure.LayerStructure.has_layer_bounds`
     when dispatching from shape alone.
 
-    Returns one of ``"batch"``, ``"native"``, ``"reference"``,
-    ``"csr"`` — never ``"auto"`` or ``"jit"``.  ``"native"`` is
-    returned only when the compiled kernel is importable *now* (the
-    probe builds on first use); otherwise the python crossovers below
-    apply unchanged, so a host without a C compiler dispatches exactly
-    as before this kernel existed.
+    Returns one of ``"native"``, ``"batch"``, ``"reference"``,
+    ``"csr"`` — never ``"auto"``.  ``"native"`` is returned whenever the
+    compiled kernel can serve the shape *now* (the probe builds on
+    first use), whatever ``batch_width`` is; otherwise the python
+    crossovers below apply.
     """
     if structure is not None:
         n_nodes = structure.n_nodes
@@ -206,14 +149,10 @@ def select_kernel(
         raise ValueError("select_kernel needs a structure or both n_nodes and d")
     if has_bounds is None:
         has_bounds = False
-    if batch_width >= AUTO_BATCH_MIN_LANES:
-        return "batch"
-    # Solo/low-batch: the compiled walk wins every committed solo cell
-    # it supports (5–9x over csr at full scale, and still ahead at
-    # n=2k — per-pop cost is two orders of magnitude below python's),
-    # so availability is the only crossover.
     if native_kernel_usable(n_nodes, d):
         return "native"
+    if batch_width >= AUTO_BATCH_MIN_LANES:
+        return "batch"
     if n_nodes <= AUTO_SMALL_STRUCTURE_NODES and d <= AUTO_SMALL_STRUCTURE_DIM:
         return "csr" if (prune and has_bounds) else "reference"
     return "csr"

@@ -3,8 +3,8 @@
 :func:`native_process_top_k` honours the
 :func:`repro.core.query.process_top_k` signature and its bitwise
 contract — same answer bytes, same Definition-9 counts — and is what
-:func:`repro.core.dispatch.register_jit_kernel` receives when the
-native library loads.  Queries the C kernel cannot serve bitwise
+:func:`repro.core.dispatch.get_jit_kernel` returns once the native
+library loads.  Queries the C kernel cannot serve bitwise
 (``fetch_real`` storage reads, per-access trace hooks, d > 7 where
 numpy's einsum switches to an unroll-by-8 reduction tree, or int64
 gate-state structures) delegate to the python kernel transparently.

@@ -185,20 +185,10 @@ class QueryWorkspace:
     the state array instead of restoring it.  The array is keyed by
     template *identity*, so a rebuilt structure transparently re-primes
     fresh state.
-
-    The workspace also carries the speculative walker's learned AIMD
-    run-length ceiling (:attr:`spec_ceiling`) across queries: workloads
-    where multi-pop speculation keeps rolling back converge to the
-    classic single-pop schedule after the first query instead of
-    re-paying the discovery cost per query.  The ceiling only shapes the
-    walk *schedule* — answers and Definition 9 counts stay bitwise
-    identical at any ceiling — so carrying it across queries never
-    couples one query's results to another's.
     """
 
     __slots__ = (
-        "_lock", "_state", "_template", "_stats_lock",
-        "checkouts", "fallbacks", "spec_ceiling", "_spec_streak",
+        "_lock", "_state", "_template", "_stats_lock", "checkouts", "fallbacks",
     )
 
     def __init__(self) -> None:
@@ -211,12 +201,6 @@ class QueryWorkspace:
         #: Queries that found the workspace busy and fell back to a
         #: private template copy.
         self.fallbacks = 0
-        #: Speculative run-length ceiling carried across queries
-        #: (written back by the walker under the workspace lock).
-        self.spec_ceiling = _SPEC_RUN_CAP
-        # Consecutive rollback-free queries since the last ceiling
-        # change; gates how often the walker probes the ceiling back up.
-        self._spec_streak = 0
 
     def _checkout(self, structure: LayerStructure) -> np.ndarray:
         """Return the template-state array for ``structure`` (lock held)."""
@@ -234,27 +218,6 @@ class QueryWorkspace:
     def _count_fallback(self) -> None:
         with self._stats_lock:
             self.fallbacks += 1
-
-
-#: Speculative run-length schedule: a query's first round pops up to
-#: ``_SPEC_CAP0`` entries, the cap triples after every round up to
-#: ``_SPEC_RUN_CAP``, and a rollback resets it to 1 (the classic single
-#: pop, which always settles).  Starting small keeps rollbacks rare —
-#: mis-speculations cluster in the dense early rounds — while the steep
-#: growth covers a typical k=10 walk in a handful of rounds (measured
-#: faster than doubling: fewer, fatter fused rounds amortize the fixed
-#: per-round numpy overhead without raising the rollback rate).
-_SPEC_CAP0 = 1
-_SPEC_GROWTH = 3
-_SPEC_RUN_CAP = 48
-#: Once a workspace's carried ceiling has collapsed to 1 the walker
-#: stops speculating altogether — it delegates to the classic schedule,
-#: which has no fused-round machinery at all — and only re-probes
-#: speculation (one query at ceiling 2) every this-many queries.  The
-#: probe keeps a converged workload from being locked out forever if its
-#: weight mix drifts, while costing at most one small mis-speculated
-#: round per probe interval.
-_SPEC_PROBE_STREAK = 8
 
 
 def process_top_k(
@@ -275,14 +238,6 @@ def process_top_k(
     product before being pushed.  Results, heap order, and the
     Definition 9 access count are bitwise identical to
     :func:`process_top_k_reference`.
-
-    Two walk schedules implement the kernel.  The *classic* schedule
-    (:func:`_solo_walk_classic`) pops one heap entry per round; the
-    *speculative* schedule (:func:`_solo_walk_speculative`) pops a run of
-    entries and relaxes them in one fused pass, settling each round
-    against the classic order — it is chosen automatically whenever
-    nothing observes per-access order (no ``fetch_real``, no trace hook,
-    no pruning) and is bitwise identical by construction.
 
     ``fetch_real(node) -> values`` overrides where *real* tuple values come
     from (disk-resident execution reads them through a buffered heap file);
@@ -345,16 +300,10 @@ def process_top_k(
         # entries are harmless — they restore the same template value).
         touched: list[np.ndarray] = []
         try:
-            if fetch_real is None and trace_hook is None and not prune:
-                result = _solo_walk_speculative(
-                    structure, weights, k, counter, seeds, state, touched,
-                    workspace if ws_acquired else None,
-                )
-            else:
-                result = _solo_walk_classic(
-                    structure, weights, k, counter, fetch_real, trace_hook,
-                    seeds, prune, state, touched,
-                )
+            result = _solo_walk(
+                structure, weights, k, counter, fetch_real, trace_hook,
+                seeds, prune, state, touched,
+            )
         except BaseException:
             if ws_acquired:
                 workspace._invalidate()
@@ -368,277 +317,7 @@ def process_top_k(
             workspace._lock.release()
 
 
-def _solo_walk_speculative(
-    structure: LayerStructure,
-    weights: np.ndarray,
-    k: int,
-    counter: AccessCounter,
-    seeds: tuple[np.ndarray, np.ndarray] | None,
-    state: np.ndarray,
-    touched: list[np.ndarray],
-    workspace: QueryWorkspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Speculative multi-pop walk — the fast schedule of :func:`process_top_k`.
-
-    A round pops a *run* of up to ``cap`` heap entries (stopping early when
-    the run would complete the answer), relaxes every popped node's gates
-    in one fused two-phase pass (all ∀-decrements, then all ∃-ungates — the
-    ∃ gather must observe the ∀ writes since a node's fused state mixes
-    both components), and scores all newly opened children in one
-    contraction.  The *settlement* step then proves the round equals the
-    one-pop-at-a-time schedule: every entry left on the heap already
-    exceeds the run's last entry (they were not among the ``m`` smallest),
-    so the round is exact iff every opened child also sorts after the last
-    run entry in ``(score, id)`` order — then the classic schedule would
-    have popped exactly this run, in this order, before any child, and
-    heap pop order for unique tuples is insensitive to push order.  Gate
-    soundness makes that the common case (children score weakly above
-    their parents); when it fails, the gate writes are rolled back (∃
-    before ∀ — a node can be both edge kinds' child, and its pre-round
-    value is the ∀-side one), the run is re-pushed, and the round retries
-    with ``cap = 1`` — the classic single pop, which always settles, so
-    progress is guaranteed.  ``cap`` grows by :data:`_SPEC_GROWTH` per
-    round under an AIMD ceiling that halves on every rollback: walks
-    where speculation pays (high-d, fat frontiers) run long fused
-    rounds, while walks where it keeps failing (low-d chains whose every
-    pop opens a better-scoring child) collapse to the classic single-pop
-    loop instead of thrashing.  When a ``workspace`` is supplied the
-    ceiling is carried across queries — halved once per rolled-back
-    query, doubled per rollback-free query, and once it reaches 1 the
-    walker delegates whole queries to :func:`_solo_walk_classic`, re-
-    probing speculation every :data:`_SPEC_PROBE_STREAK`-th query — so
-    rollback-storm workloads converge to the classic schedule once per
-    workload, not per query; without a workspace each query starts from
-    :data:`_SPEC_RUN_CAP`.  The ceiling never affects results —
-    every committed round is proven equal to the classic schedule.
-
-    Definition 9 totals are accumulated in two Python ints and flushed
-    once at the end — totals are order-free, so the counter sees the same
-    sums as the classic schedule.  Runs that would emit the k-th answer
-    stop at it and skip relaxing it (the classic break-before-relax).
-    """
-    if workspace is not None:
-        ceiling0 = workspace.spec_ceiling
-        if ceiling0 <= 1:
-            streak = workspace._spec_streak + 1
-            if streak < _SPEC_PROBE_STREAK:
-                # Converged: this workload's rollback storms collapsed
-                # the ceiling to 1, where the fused path is pure
-                # overhead — run the classic schedule outright (bitwise
-                # identical by construction) until the next probe.
-                workspace._spec_streak = streak
-                return _solo_walk_classic(
-                    structure, weights, k, counter, None, None, seeds,
-                    False, state, touched,
-                )
-            # Probe round: one speculative query at the smallest useful
-            # ceiling decides whether speculation gets re-enabled.
-            workspace._spec_streak = 0
-            ceiling0 = 2
-    else:
-        ceiling0 = _SPEC_RUN_CAP
-    values = structure.values
-    n_real = structure.n_real
-    f_indptr, e_indptr = structure.csr_indptr_lists()
-    f_indices = structure.forall_indices
-    e_indices = structure.exists_indices
-    exists_offset = structure.n_nodes + 1
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    concatenate = np.concatenate
-    unique = np.unique
-    count_nonzero = np.count_nonzero
-    t_append = touched.append
-
-    if seeds is None:
-        seeds = seed_scores(structure, weights)
-    seed_ids, precomputed = seeds
-    state[seed_ids] = -1
-    t_append(seed_ids)
-    heap = list(zip(precomputed.tolist(), seed_ids.tolist()))
-    heapq.heapify(heap)
-    real_seeds = int(np.count_nonzero(seed_ids < n_real))
-    counter.count_real(real_seeds)
-    counter.count_pseudo(seed_ids.shape[0] - real_seeds)
-
-    acc_real = 0
-    acc_total = 0
-    answer_ids: list[int] = []
-    answer_scores: list[float] = []
-    cap = _SPEC_CAP0
-    # AIMD ceiling on the run length: each rollback halves it, each
-    # committed round lets cap regrow toward it.  Walks where
-    # speculation keeps failing (low-d chains open one better-scoring
-    # child per pop) collapse to ceiling 1 — the classic single-pop
-    # loop — instead of paying a wasted fused round per pop.  The
-    # The carried ceiling persists across queries through the
-    # workspace: a rolled-back query halves it once (the within-query
-    # AIMD collapse above still protects *this* query, but its full
-    # depth is one query's evidence, not the workload's), a rollback-
-    # free query doubles it back, and a collapse to 1 hands subsequent
-    # queries to the classic schedule (see the delegation at the top) —
-    # so rollback-storm workloads pay discovery once, not per query.
-    ceiling = ceiling0
-    rolled_back = False
-    while heap and len(answer_ids) < k:
-        # Build the run: the m smallest heap entries, cut short at the
-        # entry that completes the answer (that one is never relaxed).
-        needed = k - len(answer_ids)
-        run: list[tuple[float, int]] = []
-        reals = 0
-        terminal = False
-        while heap and len(run) < cap:
-            entry = heappop(heap)
-            run.append(entry)
-            if entry[1] < n_real:
-                reals += 1
-                if reals == needed:
-                    terminal = True
-                    break
-        if cap < ceiling:
-            cap = min(cap * _SPEC_GROWTH, ceiling)
-        if len(run) == 1:
-            # Classic single-pop round: nothing else was committed, so no
-            # settlement is needed.  Also the rollback retry path.
-            score, node = run[0]
-            if node < n_real:
-                answer_ids.append(node)
-                answer_scores.append(score)
-                if terminal:
-                    continue
-            start, end = f_indptr[node], f_indptr[node + 1]
-            opened_f = opened_e = None
-            if start != end:
-                children = f_indices[start:end]
-                count = state[children] - 1
-                state[children] = count
-                t_append(children)
-                opened = children[count == 0]
-                if opened.shape[0]:
-                    opened_f = opened
-            start, end = e_indptr[node], e_indptr[node + 1]
-            if start != end:
-                children = e_indices[start:end]
-                count = state[children]
-                gated = count >= exists_offset
-                if gated.any():
-                    newly = children[gated]
-                    count = count[gated] - exists_offset
-                    state[newly] = count
-                    t_append(newly)
-                    opened = newly[count == 0]
-                    if opened.shape[0]:
-                        opened_e = opened
-            if opened_f is None:
-                opened = opened_e
-            elif opened_e is None:
-                opened = opened_f
-            else:
-                opened = concatenate((opened_f, opened_e))
-            if opened is not None:
-                state[opened] = -1
-                scores = _einsum("ij,j->i", values[opened], weights)
-                acc_total += opened.shape[0]
-                acc_real += int(count_nonzero(opened < n_real))
-                for pair in zip(scores.tolist(), opened.tolist()):
-                    heappush(heap, pair)
-            continue
-
-        # Fused multi-pop relax over the whole run (minus a terminal
-        # entry).  The ∀ side deduplicates with np.unique so a node's
-        # count drops by its number of popped ∀-parents in one write; the
-        # ∃ side needs no dedup — the offset subtraction is a plain
-        # assignment, and duplicate occurrences of a node write the same
-        # value ("any parent" semantics).  Newly opened ∃-children are
-        # deduplicated after the fact (the opened set is tiny).
-        relax = run[:-1] if terminal else run
-        f_kids = concatenate(
-            [f_indices[f_indptr[x]:f_indptr[x + 1]] for _, x in relax]
-        )
-        e_kids = concatenate(
-            [e_indices[e_indptr[x]:e_indptr[x + 1]] for _, x in relax]
-        )
-        uf = eg = None
-        opened_f = opened_e = None
-        if f_kids.shape[0]:
-            uf, f_dec = unique(f_kids, return_counts=True)
-            old_f = state[uf]
-            new_f = old_f - f_dec
-            state[uf] = new_f
-            opened = uf[new_f == 0]
-            if opened.shape[0]:
-                opened_f = opened
-        if e_kids.shape[0]:
-            cur_e = state[e_kids]
-            gated = cur_e >= exists_offset
-            if gated.any():
-                eg = e_kids[gated]
-                e_vals = cur_e[gated] - exists_offset
-                state[eg] = e_vals
-                opened = eg[e_vals == 0]
-                if opened.shape[0]:
-                    # A node gated by two popped ∃-parents appears twice.
-                    opened_e = unique(opened)
-        if opened_f is None:
-            opened = opened_e
-        elif opened_e is None:
-            opened = opened_f
-        else:
-            opened = concatenate((opened_f, opened_e))
-        if opened is not None:
-            scores = _einsum("ij,j->i", values[opened], weights)
-            last_score, last_node = run[-1]
-            low = scores.min()
-            if low < last_score or (
-                low == last_score
-                and bool(((scores == last_score) & (opened < last_node)).any())
-            ):
-                # Mis-speculation: some opened child would pop before the
-                # run's last entry.  Undo the gate writes (∃ first — a
-                # node may be both edge kinds' child, and its pre-round
-                # value is the ∀-side one) and replay classically.
-                if eg is not None:
-                    state[eg] = e_vals + exists_offset
-                if uf is not None:
-                    state[uf] = old_f
-                for entry in reversed(run):
-                    heappush(heap, entry)
-                cap = 1
-                ceiling >>= 1  # multiplicative decrease; 0 pins cap at 1
-                rolled_back = True
-                continue
-            state[opened] = -1
-            acc_total += opened.shape[0]
-            acc_real += int(count_nonzero(opened < n_real))
-            for pair in zip(scores.tolist(), opened.tolist()):
-                heappush(heap, pair)
-        if uf is not None:
-            t_append(uf)
-        if eg is not None:
-            t_append(eg)
-        for score, node in run:
-            if node < n_real:
-                answer_ids.append(node)
-                answer_scores.append(score)
-
-    if workspace is not None:
-        if rolled_back:
-            workspace.spec_ceiling = max(1, ceiling0 // 2)
-        else:
-            workspace.spec_ceiling = min(_SPEC_RUN_CAP, ceiling0 * 2)
-        workspace._spec_streak = 0
-    if acc_real:
-        counter.count_real(acc_real)
-    pseudo = acc_total - acc_real
-    if pseudo:
-        counter.count_pseudo(pseudo)
-    return (
-        np.asarray(answer_ids, dtype=np.intp),
-        np.asarray(answer_scores, dtype=np.float64),
-    )
-
-
-def _solo_walk_classic(
+def _solo_walk(
     structure: LayerStructure,
     weights: np.ndarray,
     k: int,
@@ -650,12 +329,10 @@ def _solo_walk_classic(
     state: np.ndarray,
     touched: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-pop-per-round walk — the observing schedule of :func:`process_top_k`.
+    """One-pop-per-round walk of :func:`process_top_k` on checked-out state.
 
-    Serves the modes speculation cannot: ``fetch_real`` storage reads,
-    per-access trace hooks, and ``prune`` (whose k-th floor must advance
-    in exact access order).  This is also the schedule the speculative
-    walk's settlement step certifies against.
+    Writes every node whose gate state it changes to ``touched`` so the
+    caller can restore a shared workspace from the template.
     """
     values = structure.values
     n_real = structure.n_real

@@ -82,11 +82,10 @@ class GatewayClosedError(ReproError):
 class KernelUnavailableError(ReproError):
     """A requested kernel cannot run in this environment.
 
-    Raised when ``kernel="native"`` (or its ``"jit"`` alias) is requested
-    but no compiled walk kernel is available — the bundled C walker could
-    not be built (no C toolchain, or the build failed) and nothing else
-    was registered through ``register_jit_kernel``.  ``kernel="auto"``
-    never selects unavailable kernels, so only explicit requests see it.
+    Raised when ``kernel="native"`` is requested but no compiled walk
+    kernel is available — the bundled C walker could not be built (no C
+    toolchain, or the build failed).  ``kernel="auto"`` never selects
+    unavailable kernels, so only explicit requests see it.
     """
 
 

@@ -12,12 +12,12 @@ traffic the way a deployed system would:
   inserts/deletes and rebuilds;
 * **batching** — :meth:`query_batch` normalizes the whole weight matrix up
   front, deduplicates repeated weight vectors through the cache, groups the
-  remaining rows by effective k, and feeds each group through the
-  lane-parallel :func:`~repro.core.query.process_top_k_batch` kernel, which
-  walks the gate graph once per round for *all* rows of the group and
-  scores every lane's opened children in one batched contraction.  Batched
-  answers are byte-identical to sequential
-  :func:`~repro.core.query.process_top_k` calls (the batch kernel's
+  remaining rows by effective k, and dispatches each group once: the
+  compiled native walker serves the group lane by lane, and on hosts
+  without it the lane-parallel
+  :func:`~repro.core.query.process_top_k_batch` kernel walks the gate graph
+  once per round for *all* rows of the group.  Batched answers are
+  byte-identical to sequential :meth:`query` calls (every kernel's
   bitwise-identity contract);
 * **concurrency** — :meth:`query_many` fans queries out over a thread pool.
   The frozen :class:`~repro.core.structure.LayerStructure` is read-only by
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.base import TopKIndex, TopKResult
 from repro.core.dispatch import VALID_KERNELS, get_jit_kernel, select_kernel
-from repro.core.native import NativeWorkspace, build_info
+from repro.core.native import NativeWorkspace, build_info, native_supported
 from repro.core.query import (
     BatchWorkspace,
     QueryWorkspace,
@@ -105,29 +105,29 @@ class QueryEngine:
     latency_window:
         Sliding-window size for latency percentiles.
     kernel:
-        ``"auto"`` (default) dispatches per call through
-        :func:`~repro.core.dispatch.select_kernel`: the lane-parallel
-        :func:`~repro.core.query.process_top_k_batch` for wide enough
-        cache-miss groups, the per-node
-        :func:`~repro.core.query.process_top_k_reference` on small
-        low-dimensional structures (where whole-slice numpy overhead loses
-        to the python loop), and the vectorized
-        :func:`~repro.core.query.process_top_k` otherwise — and, when the
-        compiled C walker is available (built on first use; see
-        :mod:`repro.core.native`), the ``"native"`` kernel for every solo
-        and narrow-batch miss.  ``"csr"``, ``"reference"``, and
-        ``"batch"`` force one kernel unconditionally.  Every kernel
-        returns bitwise-identical answers, so this switch only changes
-        wall-clock behaviour — it exists for A/B latency measurements
-        (``repro-topk perf-bench``) and for ruling individual kernels in
-        or out when debugging.  ``"native"`` (alias ``"jit"``) forces the
-        compiled walker and raises
+        ``"auto"`` (default) dispatches through
+        :func:`~repro.core.dispatch.select_kernel`, once per query or
+        per :meth:`query_batch` group: the compiled C walker
+        (``"native"``, built on first use; see :mod:`repro.core.native`)
+        for every miss it can serve, at any batch width.  Without it,
+        the lane-parallel :func:`~repro.core.query.process_top_k_batch`
+        serves wide enough cache-miss groups, the per-node
+        :func:`~repro.core.query.process_top_k_reference` small
+        low-dimensional structures (where whole-slice numpy overhead
+        loses to the python loop), and the vectorized
+        :func:`~repro.core.query.process_top_k` everything else.
+        ``"csr"``, ``"reference"``, and ``"batch"`` force one kernel
+        unconditionally.  Every kernel returns bitwise-identical
+        answers, so this switch only changes wall-clock behaviour — it
+        exists for A/B latency measurements (``repro-topk perf-bench``)
+        and for ruling individual kernels in or out when debugging.
+        ``"native"`` forces the compiled walker and raises
         :class:`~repro.exceptions.KernelUnavailableError` when it cannot
-        be built (no C toolchain) and nothing else was registered through
-        :func:`~repro.core.dispatch.register_jit_kernel`; ``auto`` only
-        selects it when it is actually loadable, so a compiler-less host
-        serves every query through the python kernels with one logged
-        warning and no errors.
+        be built (no C toolchain); shapes outside its bitwise contract
+        (d > 7) run the csr kernel instead.  ``auto`` only selects it
+        when it is actually loadable, so a compiler-less host serves
+        every query through the python kernels with one logged warning
+        and no errors.
     build_parallel:
         Worker count for (re)builds the engine triggers: applied to the
         fronted index's ``parallel`` knob before the initial build and for
@@ -257,10 +257,11 @@ class QueryEngine:
         normalized up front; repeated weight vectors are computed once and
         answered from the cache.  The remaining cache misses are grouped by
         effective k (k clamped to the relation size — the unit the cache
-        keys and the batch kernel share) and each group runs through one
-        lane-parallel :func:`~repro.core.query.process_top_k_batch` call
-        when the dispatcher selects the batch kernel, walking the gate
-        graph once per round for the whole group.  Results are
+        keys and the batch kernel share) and the kernel is dispatched once
+        per group.  A native group walks lane by lane through the compiled
+        walker; a batch group (compiler-less hosts) runs one lane-parallel
+        :func:`~repro.core.query.process_top_k_batch` call, walking the
+        gate graph once per round for the whole group.  Results are
         byte-identical to issuing the queries one at a time.
         """
         matrix = np.asarray(weights_matrix, dtype=np.float64)
@@ -325,8 +326,8 @@ class QueryEngine:
             else:
                 pending_keys.add(key)
                 to_compute.append((row, key, w, effective_k))
-        # Group misses by effective k and run each group through the
-        # dispatched kernel — fused when the dispatcher picks "batch".
+        # Group misses by effective k and dispatch once per group — fused
+        # when the dispatcher picks "batch", row by row otherwise.
         groups: dict[int, list[tuple[int, tuple, np.ndarray, int]]] = {}
         for item in to_compute:
             groups.setdefault(item[3], []).append(item)
@@ -370,16 +371,20 @@ class QueryEngine:
                         ids=ids, scores=scores, counter=counter
                     )
             else:
+                start = time.perf_counter()
                 for row, key, w, _ek in group:
                     with self.metrics.track() as record:
                         record.batched = True
                         counter = AccessCounter()
-                        ids, scores = self._execute(w, effective_k, counter)
+                        ids, scores = self._execute(
+                            w, effective_k, counter, kernel
+                        )
                         self.cache.put(key, ids, scores)
                         record.cost = counter.total
                         results[row] = TopKResult(
                             ids=ids, scores=scores, counter=counter
                         )
+                self.metrics.record_batch(width, time.perf_counter() - start)
         # Duplicates of computed rows: now cache hits (unless the entry was
         # already evicted by a tiny cache, in which case compute singly —
         # exactly what the sequential loop would have done).
@@ -459,26 +464,36 @@ class QueryEngine:
         return TopKResult(ids=ids, scores=scores, counter=counter)
 
     def _execute(
-        self, w: np.ndarray, k: int, counter: AccessCounter
+        self, w: np.ndarray, k: int, counter: AccessCounter, kernel: str | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Run one uncached query on the fronted index."""
+        """Run one uncached query on the fronted index.
+
+        ``kernel`` is a kernel the caller already resolved (``query_batch``
+        dispatches once per group); ``None`` resolves it here.
+        """
         structure = getattr(self.index, "structure", None)
         if isinstance(self.index, TopKIndex):
             if structure is not None:
                 # Gated layer index: traverse the frozen structure directly
                 # with the configured kernel (skips re-validation; bitwise
                 # the same answers whichever kernel runs).
-                kernel = self.kernel
+                if kernel is None:
+                    kernel = self.kernel
                 if kernel == "auto":
                     kernel = select_kernel(structure, prune=self.prune)
-                if kernel in ("native", "jit"):
-                    # Compiled walker: the bundled C kernel auto-registers
-                    # on first demand (building its .so if needed); an
-                    # explicit request on a host without a toolchain
-                    # raises a clear KernelUnavailableError, while auto
-                    # only lands here when the kernel is loadable.
+                elif kernel == "native" and not native_supported(structure):
+                    # Forced native on a shape outside the C walker's
+                    # bitwise contract (d > 7): the csr kernel serves it
+                    # with the engine's solo workspace.
+                    kernel = "csr"
+                if kernel == "native":
+                    # Compiled walker: built on first demand; an explicit
+                    # request on a host without a toolchain raises a clear
+                    # KernelUnavailableError, while auto only lands here
+                    # when the kernel is loadable.
+                    walk = get_jit_kernel()
                     self.metrics.record_kernel("native")
-                    return get_jit_kernel()(
+                    return walk(
                         structure,
                         w,
                         k,

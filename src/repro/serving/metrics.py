@@ -158,7 +158,7 @@ class MetricsRegistry:
             self.kernel_counts[name] = self.kernel_counts.get(name, 0) + count
 
     def record_batch(self, size: int, seconds: float | None = None) -> None:
-        """Record one fused batch-kernel invocation covering ``size`` rows.
+        """Record one batch of ``size`` rows computed under one dispatch.
 
         Feeds the batch-size histogram (power-of-two buckets) and, when
         ``seconds`` is given, the amortized per-query latency window with

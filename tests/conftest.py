@@ -7,6 +7,7 @@ import pytest
 
 from repro.data import generate
 from repro.data.hotels import HOTEL_NAMES, toy_hotels
+from repro.exceptions import NativeBuildError
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,29 @@ def rng():
 def small_relation(request):
     """A small relation of each benchmark distribution (d=3)."""
     return generate(request.param, 250, 3, seed=9)
+
+
+@pytest.fixture
+def isolated_native_state():
+    """Snapshot + clear every module-global the native load path mutates,
+    so a test can simulate a fresh process; restores the real state after."""
+    from repro.core.native import kernel as nk
+
+    snapshot = (nk._ffi, nk._lib, nk._status, nk._detail, nk._warned)
+    nk._reset_for_tests()
+    yield nk
+    nk._ffi, nk._lib, nk._status, nk._detail, nk._warned = snapshot
+
+
+@pytest.fixture
+def broken_native_build(isolated_native_state, monkeypatch):
+    """The native loader as on a host whose C build fails."""
+
+    def broken_build(force=False):
+        raise NativeBuildError("simulated compile explosion")
+
+    monkeypatch.setattr(isolated_native_state, "build_library", broken_build)
+    return isolated_native_state
 
 
 def names_of(ids) -> set[str]:

@@ -1,7 +1,7 @@
 """Auto-kernel dispatch: pin the decision on both sides of each threshold.
 
-The native compiled kernel, when loadable, wins every solo cell it
-supports, so ``select_kernel`` consults availability first.  The python
+The native compiled kernel, when loadable, wins every cell it supports
+at every batch width, so ``select_kernel`` consults availability first.  The python
 crossover tests below therefore run under the ``no_native`` fixture,
 which simulates a host without a C toolchain — that is exactly the
 environment whose dispatch decisions they pin.
@@ -90,9 +90,9 @@ def test_missing_shape_rejected():
 
 
 def test_valid_kernels_registry(no_native):
-    assert set(VALID_KERNELS) == {"auto", "reference", "csr", "batch", "native", "jit"}
+    assert VALID_KERNELS == ("auto", "reference", "csr", "batch", "native")
     # select_kernel only ever returns concrete runnable kernels — never
-    # "auto", and never the "jit" alias (it resolves to "native").
+    # "auto".
     for n in (100, AUTO_SMALL_STRUCTURE_NODES + 1):
         for d in (2, 4):
             for width in (1, AUTO_BATCH_MIN_LANES):
@@ -131,7 +131,7 @@ def test_structure_supplies_has_bounds(no_native):
 
 
 def test_native_wins_every_solo_cell_when_available(native_available):
-    """With the compiled walker loadable, availability is the only solo
+    """With the compiled walker loadable, availability is the only
     crossover: every in-contract shape dispatches native, regardless of
     the python reference/csr thresholds."""
     for n in (100, AUTO_SMALL_STRUCTURE_NODES, 10**6):
@@ -141,12 +141,13 @@ def test_native_wins_every_solo_cell_when_available(native_available):
                                      has_bounds=True) == "native"
 
 
-def test_batch_width_beats_native(native_available):
-    """The lane-parallel batch kernel still owns wide batches — native
-    is a solo/low-batch kernel only."""
-    kw = dict(n_nodes=10**6, d=4)
-    assert select_kernel(batch_width=AUTO_BATCH_MIN_LANES, **kw) == "batch"
-    assert select_kernel(batch_width=AUTO_BATCH_MIN_LANES - 1, **kw) == "native"
+def test_native_first_at_every_batch_width(native_available):
+    """Native wins at every batch width: one native walk per lane beats
+    the lane-parallel batch kernel, which only serves compiler-less
+    hosts (see test_batch_width_threshold_both_sides)."""
+    for n, d in ((1000, 2), (10**6, 4)):
+        for width in (1, AUTO_BATCH_MIN_LANES, 128):
+            assert select_kernel(n_nodes=n, d=d, batch_width=width) == "native"
 
 
 def test_native_shape_gates(native_available):
@@ -181,50 +182,34 @@ def test_native_kernel_usable_gates_shape_before_probe(monkeypatch):
     assert not dispatch.native_kernel_usable(1000, NATIVE_DISPATCH_MAX_DIM + 1)
     assert not dispatch.native_kernel_usable(NATIVE_DISPATCH_MAX_NODES + 1, 4)
     assert probes == []  # shape gates never reached the probe
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", None)
     assert not dispatch.native_kernel_usable(1000, 4)
     assert probes == [True]  # auto path probes with warn=True
-    # A registered kernel short-circuits the probe entirely.
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", lambda *a, **kw: None)
-    assert dispatch.native_kernel_usable(1000, 4)
-    assert probes == [True]
 
 
-def test_jit_slot_guarded(monkeypatch):
-    """kernel='jit'/'native' raises a clear error when the compiled
-    walker cannot load and nothing is registered; a registered walker is
-    returned; auto never returns the 'jit' alias."""
+def test_jit_slot_guarded(broken_native_build):
+    """get_jit_kernel raises KernelUnavailableError naming the remedy
+    when the native loader cannot build the C walker, and keeps failing
+    fast on later calls; auto dispatch falls back to the python kernels."""
     from repro.core.dispatch import get_jit_kernel
-    from repro.exceptions import KernelUnavailableError
+    from repro.exceptions import KernelUnavailableError, NativeBuildError
 
-    # Simulate a host where the native build already failed: slot empty,
-    # one-shot autoload spent.
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", None)
-    monkeypatch.setattr(dispatch, "_AUTOLOAD_ATTEMPTED", True)
-    with pytest.raises(KernelUnavailableError, match="no compiled walk kernel"):
-        get_jit_kernel()
-    sentinel = object()
-    fake = lambda *a, **kw: sentinel  # noqa: E731
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", fake)
-    assert get_jit_kernel() is fake
-    # select_kernel resolves to "native", never the "jit" alias
+    for _ in range(2):
+        with pytest.raises(
+            KernelUnavailableError, match="no compiled walk kernel"
+        ) as info:
+            get_jit_kernel()
+        assert isinstance(info.value.__cause__, NativeBuildError)
+    assert "C toolchain" in str(info.value)
+    assert broken_native_build.build_info()["status"] == "failed"
     for width in (1, AUTO_BATCH_MIN_LANES):
-        assert select_kernel(n_nodes=10**6, d=4, batch_width=width) != "jit"
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", None)
-    with pytest.raises(KernelUnavailableError):
-        get_jit_kernel()
+        assert select_kernel(n_nodes=10**6, d=4, batch_width=width) != "native"
 
 
-def test_register_none_rearms_autoload():
-    """Clearing the slot re-arms the one-shot native autoload probe, so
-    a later get_jit_kernel() may self-register the bundled walker."""
-    from repro.core.dispatch import register_jit_kernel
+def test_jit_kernel_is_the_native_walker():
+    """On a host where the C walker loads, get_jit_kernel hands back the
+    native kernel itself — there is no other compiled walker."""
+    from repro.core.native import native_process_top_k, native_ready
 
-    prev_kernel = dispatch._JIT_KERNEL
-    prev_flag = dispatch._AUTOLOAD_ATTEMPTED
-    try:
-        register_jit_kernel(None)
-        assert dispatch._AUTOLOAD_ATTEMPTED is False
-    finally:
-        dispatch._JIT_KERNEL = prev_kernel
-        dispatch._AUTOLOAD_ATTEMPTED = prev_flag
+    if not native_ready():
+        pytest.skip("native kernel not buildable on this host")
+    assert dispatch.get_jit_kernel() is native_process_top_k

@@ -23,7 +23,7 @@ import pytest
 from repro.core import DLIndex, DLPlusIndex, dispatch
 from repro.core.query import process_top_k, process_top_k_reference
 from repro.data import generate
-from repro.exceptions import KernelUnavailableError, NativeBuildError
+from repro.exceptions import KernelUnavailableError
 from repro.relation import normalize_weights
 from repro.serving import QueryEngine
 from repro.stats import AccessCounter
@@ -219,19 +219,6 @@ def test_trace_hook_delegates_to_python():
     assert len(traced.trace) == traced.real == plain.real
 
 
-@pytest.fixture
-def isolated_native_state(monkeypatch):
-    """Snapshot + clear every module-global the load path mutates, so a
-    test can simulate a fresh process; restores the real state after."""
-    nk = native_kernel_mod
-    snapshot = (nk._ffi, nk._lib, nk._status, nk._detail, nk._warned)
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", None)
-    monkeypatch.setattr(dispatch, "_AUTOLOAD_ATTEMPTED", False)
-    nk._reset_for_tests()
-    yield nk
-    nk._ffi, nk._lib, nk._status, nk._detail, nk._warned = snapshot
-
-
 def test_no_compiler_fallback_matrix(
     isolated_native_state, monkeypatch, tmp_path, caplog
 ):
@@ -275,14 +262,9 @@ def test_no_compiler_fallback_matrix(
         strict.query(w, 5)
 
 
-def test_build_failure_fallback(isolated_native_state, monkeypatch):
+def test_build_failure_fallback(broken_native_build):
     """A compile that *fails* (not just a missing compiler) walks the
     same ladder: auto falls back, explicit raises, status is failed."""
-
-    def broken_build(force=False):
-        raise NativeBuildError("simulated compile explosion")
-
-    monkeypatch.setattr(native_kernel_mod, "build_library", broken_build)
     assert native_kernel_mod.native_ready() is False
     assert not dispatch.native_kernel_usable(1000, 4)
     assert dispatch.select_kernel(n_nodes=10**6, d=4) == "csr"
@@ -337,17 +319,17 @@ def test_engine_native_end_to_end_and_kernel_counters():
     assert stats["native_workspace_checkouts"] == 3.0
     assert ref_engine.stats()["kernel_reference"] == 3.0
     assert csr_engine.stats()["kernel_csr"] == 3.0
-    # the auto batch path counts all lanes of a fused group in one record
-    auto_engine = QueryEngine(index, cache_size=0)
+    # the fused batch path counts all lanes of a group in one record
+    batch_engine = QueryEngine(index, cache_size=0, kernel="batch")
     ws = np.stack([np.asarray(_weights(3, 400 + i)) for i in range(8)])
-    auto_engine.query_batch(ws, 5)
-    assert auto_engine.stats()["kernel_batch"] == 8.0
+    batch_engine.query_batch(ws, 5)
+    assert batch_engine.stats()["kernel_batch"] == 8.0
     # a pinned-csr engine attributes batch rows to csr, one per row
     csr_engine.query_batch(ws, 5)
     assert csr_engine.stats()["kernel_csr"] == 3.0 + 8.0
     # aggregate rolls the per-kernel counters up across registries
     merged = type(native_engine.metrics).aggregate(
-        [native_engine.metrics, csr_engine.metrics, auto_engine.metrics]
+        [native_engine.metrics, csr_engine.metrics, batch_engine.metrics]
     )
     assert merged["kernel_native"] == 3.0
     assert merged["kernel_csr"] == 11.0

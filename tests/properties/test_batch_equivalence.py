@@ -144,3 +144,40 @@ def test_batch_validates_inputs():
         process_top_k_batch(
             structure, np.ones(2) / 2, 5, [AccessCounter()]
         )  # 1-D matrix
+
+
+def test_auto_query_batch_walks_native_lanes():
+    """On a host where the C walker loads, an ``auto`` ``query_batch`` of
+    64 rows walks every lane natively — none through the batch kernel —
+    and stays bitwise equal to a forced batch-kernel engine and to the
+    per-node reference kernel (ids, score bytes, real/pseudo counts)."""
+    from repro.core.native import native_ready
+    from repro.core.query import process_top_k_reference
+    from repro.relation import normalize_weights
+    from repro.serving import QueryEngine
+
+    if not native_ready():
+        pytest.skip("native kernel not buildable on this host")
+    relation = generate("ANT", 600, 4, seed=_seed_for("ANT", 4))
+    index = DLPlusIndex(relation).build()
+    weights = np.random.default_rng(64).dirichlet(np.ones(4), size=64)
+    auto = QueryEngine(index, cache_size=0)
+    batch = QueryEngine(index, cache_size=0, kernel="batch")
+    got = auto.query_batch(weights, 12)
+    fused = batch.query_batch(weights, 12)
+    stats = auto.stats()
+    assert stats["kernel_native"] == 64.0
+    assert stats.get("kernel_batch", 0.0) == 0.0
+    assert batch.stats()["kernel_batch"] == 64.0
+    for w, a, b in zip(weights, got, fused):
+        counter = AccessCounter()
+        ids, scores = process_top_k_reference(
+            index.structure, normalize_weights(w, 4), 12, counter
+        )
+        for result in (a, b):
+            assert result.ids.tobytes() == ids.tobytes()
+            assert result.scores.tobytes() == scores.tobytes()
+            assert (result.counter.real, result.counter.pseudo) == (
+                counter.real,
+                counter.pseudo,
+            )

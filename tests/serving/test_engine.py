@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import ScanIndex
 from repro.core import DLIndex, DLPlusIndex
 from repro.core.maintenance import DynamicDualLayerIndex
-from repro.core.query import process_top_k
+from repro.core.query import process_top_k, process_top_k_reference
 from repro.data import generate
 from repro.exceptions import InvalidQueryError, InvalidWeightError
 from repro.relation import normalize_weights, top_k_bruteforce
@@ -349,8 +349,9 @@ def test_engine_kernel_selector():
         np.testing.assert_array_equal(a.ids, b.ids)
         assert a.scores.tobytes() == b.scores.tobytes()
         assert a.cost == b.cost
-    with pytest.raises(InvalidQueryError):
-        QueryEngine(index, kernel="simd")
+    for bogus in ("simd", "jit"):
+        with pytest.raises(InvalidQueryError):
+            QueryEngine(index, kernel=bogus)
 
 
 def test_prune_mode_is_bitwise_and_no_costlier():
@@ -437,47 +438,62 @@ def test_workspace_contention_fallback_counted_in_stats():
     assert engine.stats()["workspace_fallbacks"] == 1.0
 
 
-def test_native_kernel_guarded_in_engine(monkeypatch):
-    """kernel="jit" (alias of "native") is accepted at construction but
-    raises KernelUnavailableError at query time when the compiled walker
-    cannot load and nothing is registered; the message names the actual
-    remedy (C toolchain / native build), and a registered walker is
-    dispatched to with the full kernel kwargs."""
-    from repro.core import dispatch
+def test_native_kernel_guarded_in_engine(broken_native_build):
+    """kernel="native" is accepted at construction but raises
+    KernelUnavailableError at query time when the native loader cannot
+    build the C walker; the message names the actual remedy (C
+    toolchain / native build), and an auto engine on the same index
+    serves the query through the python kernels instead."""
     from repro.exceptions import KernelUnavailableError
 
     relation = generate("IND", 300, 3, seed=33)
     index = DLPlusIndex(relation).build()
-    engine = QueryEngine(index, cache_size=0, kernel="jit")
+    engine = QueryEngine(index, cache_size=0, kernel="native")
     w = np.array([0.2, 0.5, 0.3])
-    # Simulate an environment where the native build already failed: the
-    # slot is empty and the one-shot autoload has been spent.
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", None)
-    monkeypatch.setattr(dispatch, "_AUTOLOAD_ATTEMPTED", True)
     with pytest.raises(
         KernelUnavailableError, match="no compiled walk kernel"
-    ):
+    ) as info:
         engine.query(w, 5)
+    assert "C toolchain" in str(info.value)
+    with pytest.raises(KernelUnavailableError):
+        engine.query_batch(np.stack([w, np.array([0.1, 0.6, 0.3])]), 5)
+    assert engine.stats().get("kernel_native", 0.0) == 0.0
 
-    seen_kwargs = {}
-
-    def fake_jit(structure, weights, k, counter, **kwargs):
-        # Delegate to the real kernel: registration is a promise of
-        # bitwise identity, which delegation trivially keeps.
-        seen_kwargs.update(kwargs)
-        return process_top_k(structure, weights, k, counter)
-
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", fake_jit)
-    result = engine.query(w, 5)
-    counter = AccessCounter()
+    auto = QueryEngine(index, cache_size=0)
+    result = auto.query(w, 5)
     ids, scores = process_top_k(
-        index.structure, normalize_weights(w, 3), 5, counter
+        index.structure, normalize_weights(w, 3), 5, AccessCounter()
     )
     np.testing.assert_array_equal(result.ids, ids)
     assert result.scores.tobytes() == scores.tobytes()
-    # The engine passes its prune setting and the native workspace.
-    assert seen_kwargs["prune"] is False
-    assert seen_kwargs["workspace"] is engine._native_workspace
-    monkeypatch.setattr(dispatch, "_JIT_KERNEL", None)
-    with pytest.raises(KernelUnavailableError):
-        engine.query(np.array([0.1, 0.6, 0.3]), 5)
+    assert auto.stats().get("kernel_native", 0.0) == 0.0
+
+
+def test_forced_native_on_unsupported_shape_runs_csr_with_workspace():
+    """kernel="native" on d > 7 (outside the C walker's bitwise contract)
+    serves through the csr kernel with the engine's solo workspace and is
+    counted as csr — bitwise equal to the reference kernel."""
+    from repro.core.native import NATIVE_MAX_DIM
+
+    d = NATIVE_MAX_DIM + 1
+    relation = generate("IND", 300, d, seed=35)
+    index = DLPlusIndex(relation).build()
+    engine = QueryEngine(index, cache_size=0, kernel="native")
+    rng = np.random.default_rng(35)
+    for w in random_weights(rng, d, 5):
+        got = engine.query(w, 6)
+        counter = AccessCounter()
+        ids, scores = process_top_k_reference(
+            index.structure, normalize_weights(w, d), 6, counter
+        )
+        assert got.ids.tobytes() == ids.tobytes()
+        assert got.scores.tobytes() == scores.tobytes()
+        assert (got.counter.real, got.counter.pseudo) == (
+            counter.real,
+            counter.pseudo,
+        )
+    stats = engine.stats()
+    assert stats["kernel_csr"] == 5.0
+    assert stats.get("kernel_native", 0.0) == 0.0
+    assert stats["workspace_checkouts"] == 5.0
+    assert stats["native_workspace_checkouts"] == 0.0
