@@ -250,9 +250,10 @@ class Shard:
         """One local top-``min(k, n)`` per row, in a single batched call.
 
         The whole weight group runs through the shard engine's
-        ``query_batch`` — one kernel dispatch for the group (native walks
-        lane by lane; the batch kernel, on hosts without it, in one
-        lane-parallel traversal) — instead of one scatter-gather per row.  Row order (and every answer's ascending
+        ``query_batch`` — one kernel dispatch for the group (one native
+        FFI crossing; the batch kernel, on hosts without it, in one
+        lane-parallel traversal) — instead of one scatter-gather per row.
+        Row order (and every answer's ascending
         ``(score, global id)`` order) matches per-row :meth:`topk` calls
         bitwise.
         """

@@ -9,8 +9,8 @@ one.  BENCH_query.json (committed, full scale) sets the order:
   batch width: one native walk per query beats the python lane-parallel
   batch kernel's best per-query cost at any committed width up to B=128.  ``auto`` therefore
   picks it whenever :func:`native_kernel_usable` holds, and
-  :meth:`~repro.serving.QueryEngine.query_batch` walks a group lane by
-  lane through it;
+  :meth:`~repro.serving.QueryEngine.query_batch` sends each group to it
+  in one call (:func:`~repro.core.native.native_walk_many`);
 * without a compiler, the lane-parallel **batch** kernel serves groups
   of at least :data:`AUTO_BATCH_MIN_LANES` same-k queries — it walks the
   gate graph once per *round* for all lanes and scores every lane's

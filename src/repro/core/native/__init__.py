@@ -1,10 +1,13 @@
-"""Native compiled solo-walk kernel (cffi ABI mode + host C compiler).
+"""Native compiled walk kernel (cffi ABI mode + host C compiler).
 
 Public surface:
 
 * :func:`get_native_kernel` — build/load the library and return the
   ``process_top_k``-compatible callable (raises
   :class:`~repro.exceptions.NativeBuildError` when it cannot).
+* :func:`native_walk_many` — one FFI crossing for a whole group of
+  queries (the serving engine's ``query_batch`` path); the kernel
+  callable above is its one-lane call.
 * :func:`native_ready` — non-raising availability probe used by the
   ``auto`` dispatch path (one logged warning on failure, then silence).
 * :func:`build_info` — build outcome (``built``/``cached``/``failed``/
@@ -29,6 +32,7 @@ from repro.core.native.kernel import (
     native_process_top_k,
     native_ready,
     native_supported,
+    native_walk_many,
 )
 
 __all__ = [
@@ -44,4 +48,5 @@ __all__ = [
     "native_process_top_k",
     "native_ready",
     "native_supported",
+    "native_walk_many",
 ]

@@ -1,4 +1,4 @@
-"""Build-or-first-use compilation of the native solo-walk kernel.
+"""Build-or-first-use compilation of the native walk kernel.
 
 The kernel is plain C (``walker.c``) loaded through **cffi ABI mode**:
 no ``Python.h``, no build-time extension machinery — just a shared
@@ -46,25 +46,36 @@ SOURCE_PATH = Path(__file__).with_name("walker.c")
 #: C declarations for ``ffi.cdef`` — must match walker.c exactly.
 CDEF = """
 double repro_dot(const double *v, const double *w, int64_t d);
-int64_t repro_solo_walk(
-    int64_t n_nodes, int64_t n_real, int64_t d,
-    const double *values,
-    const int64_t *f_indptr, const int64_t *f_indices,
-    const int64_t *e_indptr, const int64_t *e_indices,
-    int32_t exists_offset,
-    const double *weights, int64_t k,
-    const int64_t *seed_ids, const double *seed_sc, int64_t n_seeds,
-    int32_t *state, const int32_t *template_state,
-    uint8_t *dirty, int64_t *touched,
-    double *heap_scores, int64_t *heap_ids,
-    int64_t *opened_buf,
-    double *kth_buf,
-    int32_t prune,
-    const int64_t *sub_of, const double *sub_mins, int64_t n_sub_rows,
-    const int64_t *block_of, const double *block_mins, int64_t n_block_rows,
-    uint8_t *pruned_sub,
-    int64_t *out_ids, double *out_scores,
-    int64_t *counts_out);
+typedef struct {
+    int64_t n_nodes, n_real, d;
+    const double *values;
+    const int64_t *f_indptr, *f_indices;
+    const int64_t *e_indptr, *e_indices;
+    int32_t exists_offset;
+    const int64_t *static_seeds;
+    int64_t n_static_seeds;
+    int32_t *state;
+    const int32_t *template_state;
+    uint8_t *dirty;
+    int64_t *touched;
+    double *heap_scores;
+    int64_t *heap_ids;
+    int64_t *opened;
+    double *kth;
+    const int64_t *sub_of;
+    const double *sub_mins;
+    int64_t n_sub_rows;
+    const int64_t *block_of;
+    const double *block_mins;
+    int64_t n_block_rows;
+    uint8_t *pruned_sub;
+} repro_walk_ctx;
+void repro_walk_many(
+    const repro_walk_ctx *ctx, int32_t prune,
+    int64_t n_lanes, const double *weights, const int64_t *ks,
+    const int64_t *seed_indptr, const int64_t *seed_ids,
+    int64_t out_stride, int64_t *out_ids, double *out_scores,
+    int64_t *out_n, int64_t *out_counts);
 """
 
 

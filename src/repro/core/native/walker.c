@@ -1,5 +1,6 @@
-/* Native solo gate walk — C implementation of the Algorithm-2 classic
- * schedule in repro/core/query.py (_solo_walk_classic).
+/* Native gate walk — C implementation of the Algorithm-2 one-pop
+ * schedule in repro/core/query.py (_solo_walk), for one query or for a
+ * whole group of queries walked one after another in a single call.
  *
  * The contract is *bitwise identity* with the python kernels:
  *
@@ -21,9 +22,9 @@
  * result bits and break the identity contract.
  *
  * The caller owns every buffer (numpy arrays managed from python); the
- * kernel allocates nothing.  On return the gate-state array has been
- * restored to template state and the dirty bitmap re-zeroed, so a
- * workspace can hand the same buffers to the next query unconditionally.
+ * kernel allocates nothing.  After each lane the gate-state array has
+ * been restored to template state and the dirty bitmap re-zeroed, so the
+ * next lane — and the next call — reuses the same buffers unconditionally.
  */
 
 #include <stdint.h>
@@ -135,59 +136,96 @@ static void kth_note(double *kh, int64_t *len, int64_t k, double *kth,
 
 #define POS_INF (1.0 / 0.0)
 
-int64_t repro_solo_walk(
-    /* structure */
-    int64_t n_nodes, int64_t n_real, int64_t d,
-    const double *values,
-    const int64_t *f_indptr, const int64_t *f_indices,
-    const int64_t *e_indptr, const int64_t *e_indices,
-    int32_t exists_offset,
-    /* query */
+/* Everything one walk reads or scribbles on except the query itself:
+ * the frozen structure, its static seeds, the workspace buffers and the
+ * (lazily attached) pruning bound tables.  The python side fills one of
+ * these per prepared structure and passes its address on every call. */
+typedef struct {
+    int64_t n_nodes, n_real, d;
+    const double *values;
+    const int64_t *f_indptr, *f_indices;
+    const int64_t *e_indptr, *e_indices;
+    int32_t exists_offset;
+    const int64_t *static_seeds;
+    int64_t n_static_seeds;
+    /* workspace: state/dirty are in template/zero state between walks */
+    int32_t *state;
+    const int32_t *template_state;
+    uint8_t *dirty;
+    int64_t *touched;
+    double *heap_scores;
+    int64_t *heap_ids;
+    int64_t *opened;
+    double *kth;
+    /* pruning (NULL until a pruned walk first needs them) */
+    const int64_t *sub_of;
+    const double *sub_mins;
+    int64_t n_sub_rows;
+    const int64_t *block_of;
+    const double *block_mins;
+    int64_t n_block_rows;
+    uint8_t *pruned_sub;
+} repro_walk_ctx;
+
+/* One lane: the classic walk for one weight vector.  Writes at most
+ * min(k, n_real) answers and returns how many it wrote. */
+static int64_t walk_one(
+    const repro_walk_ctx *c, int32_t prune,
     const double *weights, int64_t k,
-    const int64_t *seed_ids, const double *seed_sc, int64_t n_seeds,
-    /* workspace (caller-owned; state/dirty in template/zero state) */
-    int32_t *state, const int32_t *template_state,
-    uint8_t *dirty, int64_t *touched,
-    double *heap_scores, int64_t *heap_ids,
-    int64_t *opened_buf,
-    double *kth_buf,
-    /* pruning (pointers may be NULL when prune == 0) */
-    int32_t prune,
-    const int64_t *sub_of, const double *sub_mins, int64_t n_sub_rows,
-    const int64_t *block_of, const double *block_mins, int64_t n_block_rows,
-    uint8_t *pruned_sub,
-    /* outputs (capacity min(k, n_real)) */
-    int64_t *out_ids, double *out_scores,
-    int64_t *counts_out)
+    const int64_t *seed_ids, int64_t n_seeds,
+    int64_t *out_ids, double *out_scores, int64_t *counts_out)
 {
+    /* Copy every context field into a local first: the uint8_t dirty
+     * and pruned_sub stores may alias anything, so fields read through
+     * the struct pointer would be reloaded from memory after each one. */
+    const int64_t n_real = c->n_real, d = c->d;
+    const int32_t exists_offset = c->exists_offset;
+    const double *values = c->values;
+    const int64_t *f_indptr = c->f_indptr, *f_indices = c->f_indices;
+    const int64_t *e_indptr = c->e_indptr, *e_indices = c->e_indices;
+    const int32_t *template_state = c->template_state;
+    int32_t *state = c->state;
+    uint8_t *dirty = c->dirty;
+    int64_t *touched = c->touched;
+    double *heap_scores = c->heap_scores;
+    int64_t *heap_ids = c->heap_ids;
+    int64_t *opened_buf = c->opened;
+    double *kth_buf = c->kth;
+    const int64_t *sub_of = c->sub_of, *block_of = c->block_of;
+    const double *sub_mins = c->sub_mins, *block_mins = c->block_mins;
+    const int64_t n_sub_rows = c->n_sub_rows, n_block_rows = c->n_block_rows;
+    uint8_t *pruned_sub = c->pruned_sub;
     int64_t heap_size = 0, touched_len = 0;
     int64_t real_acc = 0, pseudo_acc = 0;
     int64_t kth_len = 0;
     double kth_score = POS_INF;
     int64_t n_ans = 0;
+    const int fold_kth = prune && k > 0;
 
     if (prune)
         memset(pruned_sub, 0, (size_t)n_sub_rows);
 
-    /* Seed enqueue: stamp, count, push; then fold real seed scores into
-     * the k-th floor (classic kernel order). */
+    /* Seed enqueue: score (the dot product the loader checked against
+     * seed_scores' "ij,j->i" einsum), stamp, count, push, and fold real
+     * seed scores into the k-th floor.  Pushes never read the floor, so
+     * folding as we go sees the same sequence of scores as the python
+     * kernels' fold-after-push loop. */
     for (int64_t s = 0; s < n_seeds; s++) {
         int64_t node = seed_ids[s];
+        double score = dot_pair(values + node * d, weights, d);
         if (!dirty[node]) {
             dirty[node] = 1;
             touched[touched_len++] = node;
         }
         state[node] = -1;
-        if (node < n_real)
+        if (node < n_real) {
             real_acc++;
-        else
+            if (fold_kth)
+                kth_note(kth_buf, &kth_len, k, &kth_score, score);
+        } else {
             pseudo_acc++;
-        heap_push(heap_scores, heap_ids, &heap_size, seed_sc[s], node);
-    }
-    if (prune && k > 0) {
-        for (int64_t s = 0; s < n_seeds; s++)
-            if (seed_ids[s] < n_real)
-                kth_note(kth_buf, &kth_len, k, &kth_score, seed_sc[s]);
+        }
+        heap_push(heap_scores, heap_ids, &heap_size, score, node);
     }
 
     while (heap_size > 0 && n_ans < k) {
@@ -271,7 +309,7 @@ int64_t repro_solo_walk(
             double child_score = dot_pair(values + child * d, weights, d);
             if (child < n_real) {
                 real_acc++;
-                if (prune && k > 0)
+                if (fold_kth)
                     kth_note(kth_buf, &kth_len, k, &kth_score, child_score);
             } else {
                 pseudo_acc++;
@@ -281,7 +319,7 @@ int64_t repro_solo_walk(
     }
 
     /* Restore the workspace: gate state back to template, dirty bitmap
-     * back to zero, so the buffers are reusable without a reset pass. */
+     * back to zero, so the next lane starts from a clean slate. */
     for (int64_t i = 0; i < touched_len; i++) {
         int64_t node = touched[i];
         state[node] = template_state[node];
@@ -291,4 +329,35 @@ int64_t repro_solo_walk(
     counts_out[0] = real_acc;
     counts_out[1] = pseudo_acc;
     return n_ans;
+}
+
+/* Walk n_lanes queries one after another on the shared workspace.
+ *
+ * Lane i answers weights[i*d .. i*d+d) with retrieval size ks[i] and
+ * writes its answers to row i of the (n_lanes, out_stride) id/score
+ * arrays, its answer count to out_n[i] and its real/pseudo counts to
+ * out_counts[2i], out_counts[2i+1].  out_stride must be at least
+ * min(ks[i], n_real) for every lane.  seed_indptr == NULL walks every
+ * lane from the structure's static seeds; otherwise lane i's seeds are
+ * seed_ids[seed_indptr[i] .. seed_indptr[i+1]) (weight-range selectors,
+ * which pick seeds per query). */
+void repro_walk_many(
+    const repro_walk_ctx *ctx, int32_t prune,
+    int64_t n_lanes, const double *weights, const int64_t *ks,
+    const int64_t *seed_indptr, const int64_t *seed_ids,
+    int64_t out_stride, int64_t *out_ids, double *out_scores,
+    int64_t *out_n, int64_t *out_counts)
+{
+    for (int64_t lane = 0; lane < n_lanes; lane++) {
+        const int64_t *seeds = ctx->static_seeds;
+        int64_t n_seeds = ctx->n_static_seeds;
+        if (seed_indptr != NULL) {
+            seeds = seed_ids + seed_indptr[lane];
+            n_seeds = seed_indptr[lane + 1] - seed_indptr[lane];
+        }
+        out_n[lane] = walk_one(
+            ctx, prune, weights + lane * ctx->d, ks[lane], seeds, n_seeds,
+            out_ids + lane * out_stride, out_scores + lane * out_stride,
+            out_counts + 2 * lane);
+    }
 }

@@ -114,13 +114,22 @@ def seed_scores(
     if structure.seed_selector is None:
         seeds, block = structure.seed_block()  # static seeds: shared block
         return seeds, _einsum("ij,j->i", block, weights)
+    seeds = selector_seeds(structure, weights)
+    return seeds, _einsum("ij,j->i", structure.values[seeds], weights)
+
+
+def selector_seeds(structure: LayerStructure, weights: np.ndarray) -> np.ndarray:
+    """A selector structure's entry nodes for one query, each id once.
+
+    Selectors may in principle repeat ids; the walk enqueues every node
+    at most once, so repeats are dropped, keeping first-occurrence order.
+    """
     seeds = np.asarray(structure.seeds(weights), dtype=np.intp)
     if seeds.shape[0] > 1:
-        # Selectors may in principle repeat ids; dedupe preserving order.
         _, first = np.unique(seeds, return_index=True)
         if first.shape[0] != seeds.shape[0]:
             seeds = seeds[np.sort(first)]
-    return seeds, _einsum("ij,j->i", structure.values[seeds], weights)
+    return seeds
 
 
 def relax_gates(

@@ -63,6 +63,27 @@ class ResultCache:
         quantized = quantized + 0.0  # fold -0.0 into +0.0 for stable bytes
         return (quantized.tobytes(), int(k), int(version))
 
+    def make_keys(
+        self, weights_matrix: np.ndarray, ks, version: int
+    ) -> list[CacheKey]:
+        """:meth:`make_key` for every row of a ``(B, d)`` matrix at once.
+
+        The matrix is rounded in one pass (rounding is elementwise, so
+        row ``i``'s key equals ``make_key(weights_matrix[i], ks[i],
+        version)`` byte for byte).
+        """
+        quantized = np.asarray(weights_matrix, dtype=np.float64).round(
+            self.decimals
+        )
+        quantized += 0.0  # fold -0.0 into +0.0 for stable bytes
+        flat = quantized.tobytes()  # C order: row i is one contiguous slice
+        width = quantized.itemsize * quantized.shape[1]
+        version = int(version)
+        return [
+            (flat[i * width : (i + 1) * width], k, version)
+            for i, k in enumerate(np.asarray(ks).tolist())
+        ]
+
     def get(self, key: CacheKey) -> tuple[np.ndarray, np.ndarray] | None:
         """``(ids, scores)`` copies on a hit (refreshing LRU order), else None.
 

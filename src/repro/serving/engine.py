@@ -10,24 +10,29 @@ traffic the way a deployed system would:
   :mod:`repro.serving.cache`); a hit returns the stored answer with *zero*
   tuple evaluations and the version key guarantees freshness across
   inserts/deletes and rebuilds;
-* **batching** — :meth:`query_batch` normalizes the whole weight matrix up
-  front, deduplicates repeated weight vectors through the cache, groups the
-  remaining rows by effective k, and dispatches each group once: the
-  compiled native walker serves the group lane by lane, and on hosts
-  without it the lane-parallel
+* **batching** — :meth:`query_batch` validates and normalizes the whole
+  weight matrix in one pass, builds every cache key from one rounded
+  matrix, deduplicates repeated weight vectors through the cache, groups
+  the remaining rows by effective k, and dispatches each group once: a
+  native group crosses into the compiled walker in one call (C scores the
+  seeds and walks the lanes one after another on one workspace, GIL
+  released), and on hosts without it the lane-parallel
   :func:`~repro.core.query.process_top_k_batch` kernel walks the gate graph
-  once per round for *all* rows of the group.  Batched answers are
-  byte-identical to sequential :meth:`query` calls (every kernel's
-  bitwise-identity contract);
+  once per round for *all* rows of the group.  :meth:`query` is a one-row
+  pass through the same path.  Batched answers are byte-identical to
+  sequential :meth:`query` calls (every kernel's bitwise-identity
+  contract);
 * **concurrency** — :meth:`query_many` fans queries out over a thread pool.
   The frozen :class:`~repro.core.structure.LayerStructure` is read-only by
   contract and every query owns its
   :class:`~repro.stats.AccessCounter`/heap, so no locking is needed on the
   traversal itself (the cache and metrics registry carry their own locks);
-* **metrics** — every query is tracked in a
+* **metrics** — every query is counted in a
   :class:`~repro.serving.metrics.MetricsRegistry` (latency percentiles,
-  Definition 9 cost, hit rate, queue depth), exportable as a flat dict and
-  rendered by the ``repro-topk serve-bench`` CLI.
+  Definition 9 cost, hit rate, queue depth) with one registry update per
+  call, exportable as a flat dict (:meth:`QueryEngine.stats`; keys and
+  counter semantics in DESIGN.md §3b) and rendered by the
+  ``repro-topk serve-bench`` CLI.
 """
 
 from __future__ import annotations
@@ -39,7 +44,12 @@ import numpy as np
 
 from repro.core.base import TopKIndex, TopKResult
 from repro.core.dispatch import VALID_KERNELS, get_jit_kernel, select_kernel
-from repro.core.native import NativeWorkspace, build_info, native_supported
+from repro.core.native import (
+    NativeWorkspace,
+    build_info,
+    native_supported,
+    native_walk_many,
+)
 from repro.core.query import (
     BatchWorkspace,
     QueryWorkspace,
@@ -50,7 +60,7 @@ from repro.core.query import (
 from repro.exceptions import InvalidQueryError, InvalidWeightError
 from repro.relation import normalize_weights
 from repro.serving.cache import ResultCache
-from repro.serving.metrics import MetricsRegistry, QueryRecord
+from repro.serving.metrics import MetricsRegistry
 from repro.stats import AccessCounter
 
 
@@ -243,26 +253,36 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
 
     def query(self, weights: np.ndarray, k: int) -> TopKResult:
-        """Serve one top-k query through the cache."""
-        w = normalize_weights(weights, self.d)
-        k = validate_k(k)
-        with self.metrics.track() as record:
-            return self._serve(w, k, record)
+        """Serve one top-k query through the cache.
+
+        A one-row pass through the :meth:`query_batch` path: same cache,
+        dispatch and metrics code, but counted as a solo query — it is
+        not a batched query and touches no batch counter.
+        """
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 1:
+            normalize_weights(w, self.d)  # raises: a query is one vector
+        matrix = normalize_rows(w[None, :], self.d)
+        ks = np.array([validate_k(k)], dtype=np.int64)
+        return self._serve_rows(matrix, ks, batched=False)[0]
 
     def query_batch(self, weights_matrix: np.ndarray, k) -> list[TopKResult]:
         """Serve one query per row of ``weights_matrix``, amortizing overhead.
 
         ``k`` is a scalar applied to every row, or a sequence with one
         retrieval size per row.  The whole matrix is validated and
-        normalized up front; repeated weight vectors are computed once and
-        answered from the cache.  The remaining cache misses are grouped by
-        effective k (k clamped to the relation size — the unit the cache
-        keys and the batch kernel share) and the kernel is dispatched once
-        per group.  A native group walks lane by lane through the compiled
-        walker; a batch group (compiler-less hosts) runs one lane-parallel
+        normalized in one pass before any row is served, and the cache
+        keys come from one rounded matrix; repeated weight vectors are
+        computed once and answered from the cache.  The remaining cache
+        misses are grouped by effective k (k clamped to the relation size
+        — the unit the cache keys and the kernels share) and the kernel is
+        dispatched once per group.  A native group crosses into the
+        compiled walker once, which walks its lanes one after another; a
+        batch group (compiler-less hosts) runs one lane-parallel
         :func:`~repro.core.query.process_top_k_batch` call, walking the
-        gate graph once per round for the whole group.  Results are
-        byte-identical to issuing the queries one at a time.
+        gate graph once per round for the whole group.  Metrics are
+        recorded once per call.  Results are byte-identical to issuing
+        the queries one at a time.
         """
         matrix = np.asarray(weights_matrix, dtype=np.float64)
         if matrix.ndim == 1:
@@ -287,127 +307,11 @@ class QueryEngine:
             ks = np.asarray(
                 [validate_k(value) for value in ks_input], dtype=np.int64
             )
-        d = self.d
-        # Fail fast: every row is validated/normalized before any query runs.
-        normalized = [normalize_weights(matrix[row], d) for row in range(n_rows)]
         if not n_rows:
             return []
-        version = self.version
-        if version != self._seen_version:
-            self.cache.prune(version)
-            self._seen_version = version
-        n = self.n
-        cache_enabled = self.cache.capacity > 0
-        results: list[TopKResult | None] = [None] * n_rows
-        # First pass: answer cache hits immediately, defer duplicates of an
-        # in-flight key (first occurrence pays, the duplicate hits after the
-        # group is computed), and collect the rows that need a traversal.
-        pending_keys: set = set()
-        to_compute: list[tuple[int, tuple, np.ndarray, int]] = []
-        deferred: list[tuple[int, tuple, int]] = []
-        for row, w in enumerate(normalized):
-            effective_k = min(int(ks[row]), n)
-            key = self.cache.make_key(w, effective_k, version)
-            if cache_enabled and key in pending_keys:
-                deferred.append((row, key, effective_k))
-                continue
-            start = time.perf_counter()
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.metrics.record_external(
-                    cost=0,
-                    seconds=time.perf_counter() - start,
-                    hit=True,
-                    batched=True,
-                )
-                results[row] = TopKResult(
-                    ids=cached[0], scores=cached[1], counter=AccessCounter()
-                )
-            else:
-                pending_keys.add(key)
-                to_compute.append((row, key, w, effective_k))
-        # Group misses by effective k and dispatch once per group — fused
-        # when the dispatcher picks "batch", row by row otherwise.
-        groups: dict[int, list[tuple[int, tuple, np.ndarray, int]]] = {}
-        for item in to_compute:
-            groups.setdefault(item[3], []).append(item)
-        structure = getattr(self.index, "structure", None)
-        batchable = isinstance(self.index, TopKIndex) and structure is not None
-        for effective_k, group in groups.items():
-            width = len(group)
-            kernel = self.kernel
-            if kernel == "auto":
-                kernel = (
-                    select_kernel(structure, batch_width=width, prune=self.prune)
-                    if batchable
-                    else "csr"
-                )
-            if batchable and kernel == "batch":
-                lanes = np.ascontiguousarray(
-                    np.stack([item[2] for item in group])
-                )
-                counters = [AccessCounter() for _ in group]
-                self.metrics.record_kernel("batch", width)
-                start = time.perf_counter()
-                outputs = process_top_k_batch(
-                    structure,
-                    lanes,
-                    effective_k,
-                    counters,
-                    workspace=self._workspace,
-                    prune=self.prune,
-                )
-                elapsed = time.perf_counter() - start
-                self.metrics.record_batch(width, elapsed)
-                share = elapsed / width
-                for (row, key, _w, _ek), counter, (ids, scores) in zip(
-                    group, counters, outputs
-                ):
-                    self.cache.put(key, ids, scores)
-                    self.metrics.record_external(
-                        cost=counter.total, seconds=share, hit=False, batched=True
-                    )
-                    results[row] = TopKResult(
-                        ids=ids, scores=scores, counter=counter
-                    )
-            else:
-                start = time.perf_counter()
-                for row, key, w, _ek in group:
-                    with self.metrics.track() as record:
-                        record.batched = True
-                        counter = AccessCounter()
-                        ids, scores = self._execute(
-                            w, effective_k, counter, kernel
-                        )
-                        self.cache.put(key, ids, scores)
-                        record.cost = counter.total
-                        results[row] = TopKResult(
-                            ids=ids, scores=scores, counter=counter
-                        )
-                self.metrics.record_batch(width, time.perf_counter() - start)
-        # Duplicates of computed rows: now cache hits (unless the entry was
-        # already evicted by a tiny cache, in which case compute singly —
-        # exactly what the sequential loop would have done).
-        for row, key, effective_k in deferred:
-            with self.metrics.track() as record:
-                record.batched = True
-                cached = self.cache.get(key)
-                if cached is not None:
-                    record.hit = True
-                    results[row] = TopKResult(
-                        ids=cached[0], scores=cached[1], counter=AccessCounter()
-                    )
-                else:
-                    counter = AccessCounter()
-                    ids, scores = self._execute(
-                        normalized[row], effective_k, counter
-                    )
-                    self.cache.put(key, ids, scores)
-                    record.cost = counter.total
-                    results[row] = TopKResult(
-                        ids=ids, scores=scores, counter=counter
-                    )
-        return results
+        # Fail fast: every row is validated/normalized before any query runs.
+        normalized = normalize_rows(matrix, self.d)
+        return self._serve_rows(normalized, ks, batched=True)
 
     def query_many(
         self,
@@ -442,87 +346,173 @@ class QueryEngine:
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _serve(self, w: np.ndarray, k: int, record: QueryRecord) -> TopKResult:
-        """Core cached path: ``w`` is already normalized."""
-        version = self.version
-        if version != self._seen_version:
-            # A mutation/rebuild happened since we last looked: old-version
-            # entries are unreachable by key; free them eagerly.
-            self.cache.prune(version)
-            self._seen_version = version
-        effective_k = min(int(k), self.n)
-        key = self.cache.make_key(w, effective_k, version)
-        cached = self.cache.get(key)
-        if cached is not None:
-            record.hit = True
-            record.cost = 0
-            return TopKResult(ids=cached[0], scores=cached[1], counter=AccessCounter())
-        counter = AccessCounter()
-        ids, scores = self._execute(w, effective_k, counter)
-        self.cache.put(key, ids, scores)
-        record.cost = counter.total
-        return TopKResult(ids=ids, scores=scores, counter=counter)
+    def _serve_rows(
+        self, weights: np.ndarray, ks: np.ndarray, *, batched: bool
+    ) -> list[TopKResult]:
+        """The cached serving path: ``weights`` is a normalized ``(B, d)``
+        matrix and ``ks`` its validated per-row retrieval sizes."""
+        n_rows = weights.shape[0]
+        with self.metrics.track_rows(n_rows, batched=batched) as record:
+            version = self.version
+            if version != self._seen_version:
+                # A mutation/rebuild happened since we last looked:
+                # old-version entries are unreachable by key; free them.
+                self.cache.prune(version)
+                self._seen_version = version
+            effective = np.minimum(ks, self.n)
+            keys = self.cache.make_keys(weights, effective, version)
+            cache_enabled = self.cache.capacity > 0
+            results: list[TopKResult | None] = [None] * n_rows
+            # First pass: answer cache hits, defer duplicates of an
+            # in-flight key (the first occurrence pays, the duplicate hits
+            # once its group is computed), and group the rest by k.
+            pending: set = set()
+            groups: dict[int, list[int]] = {}
+            deferred: list[int] = []
+            for row, key in enumerate(keys):
+                if cache_enabled and key in pending:
+                    deferred.append(row)
+                    continue
+                cached = self.cache.get(key)
+                if cached is not None:
+                    record.hits += 1
+                    results[row] = TopKResult(
+                        ids=cached[0], scores=cached[1], counter=AccessCounter()
+                    )
+                    continue
+                pending.add(key)
+                groups.setdefault(key[1], []).append(row)
 
-    def _execute(
-        self, w: np.ndarray, k: int, counter: AccessCounter, kernel: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Run one uncached query on the fronted index.
+            def settle(rows, outputs) -> None:
+                for row, (ids, scores, counter) in zip(rows, outputs):
+                    self.cache.put(keys[row], ids, scores)
+                    cost = counter.real + counter.pseudo
+                    record.cost += cost
+                    if cost > record.max_cost:
+                        record.max_cost = cost
+                    results[row] = TopKResult(
+                        ids=ids, scores=scores, counter=counter
+                    )
 
-        ``kernel`` is a kernel the caller already resolved (``query_batch``
-        dispatches once per group); ``None`` resolves it here.
+            for effective_k, rows in groups.items():
+                start = time.perf_counter()
+                lanes = weights if len(rows) == n_rows else weights[rows]
+                outputs = self._compute(lanes, effective_k)
+                if batched:
+                    self.metrics.record_batch(
+                        len(rows), time.perf_counter() - start
+                    )
+                settle(rows, outputs)
+            # Duplicates of computed rows: now cache hits (unless a tiny
+            # cache already evicted the entry, in which case compute singly
+            # — exactly what the sequential loop would have done).
+            for row in deferred:
+                cached = self.cache.get(keys[row])
+                if cached is not None:
+                    record.hits += 1
+                    results[row] = TopKResult(
+                        ids=cached[0], scores=cached[1], counter=AccessCounter()
+                    )
+                else:
+                    settle(
+                        [row], self._compute(weights[row : row + 1], keys[row][1])
+                    )
+        return results
+
+    def _compute(
+        self, lanes: np.ndarray, k: int
+    ) -> list[tuple[np.ndarray, np.ndarray, AccessCounter]]:
+        """Run uncached queries (rows of ``lanes``) at one effective ``k``.
+
+        Resolves the kernel once for the group and records its per-lane
+        dispatch counter once.  Returns ``(ids, scores, counter)`` per row.
         """
+        width = lanes.shape[0]
         structure = getattr(self.index, "structure", None)
-        if isinstance(self.index, TopKIndex):
-            if structure is not None:
-                # Gated layer index: traverse the frozen structure directly
-                # with the configured kernel (skips re-validation; bitwise
-                # the same answers whichever kernel runs).
-                if kernel is None:
-                    kernel = self.kernel
-                if kernel == "auto":
-                    kernel = select_kernel(structure, prune=self.prune)
-                elif kernel == "native" and not native_supported(structure):
-                    # Forced native on a shape outside the C walker's
-                    # bitwise contract (d > 7): the csr kernel serves it
-                    # with the engine's solo workspace.
-                    kernel = "csr"
-                if kernel == "native":
-                    # Compiled walker: built on first demand; an explicit
-                    # request on a host without a toolchain raises a clear
-                    # KernelUnavailableError, while auto only lands here
-                    # when the kernel is loadable.
-                    walk = get_jit_kernel()
-                    self.metrics.record_kernel("native")
-                    return walk(
-                        structure,
-                        w,
-                        k,
-                        counter,
-                        prune=self.prune,
-                        workspace=self._native_workspace,
-                    )
-                if kernel == "reference":
-                    if not (self.prune and structure.has_layer_bounds):
-                        self.metrics.record_kernel("reference")
-                        return process_top_k_reference(structure, w, k, counter)
-                    # The reference kernel has no pruning path; the CSR
-                    # kernel is bitwise identical, so promote when the
-                    # frozen bound table makes pruning worthwhile.
-                    kernel = "csr"
-                if kernel == "batch":
-                    # Forced batch kernel on a single query: one lane.
-                    self.metrics.record_kernel("batch")
-                    outputs = process_top_k_batch(
-                        structure,
-                        np.asarray(w, dtype=np.float64)[None, :],
-                        k,
-                        [counter],
-                        workspace=self._workspace,
-                        prune=self.prune,
-                    )
-                    return outputs[0]
-                self.metrics.record_kernel("csr")
-                return process_top_k(
+        if not isinstance(self.index, TopKIndex) or structure is None:
+            # Non-gated index, or a duck-typed mutable index
+            # (DynamicDualLayerIndex, which returns ids remapped to
+            # insertion-order ids): the index serves each row itself.
+            outputs = []
+            for w in lanes:
+                counter = AccessCounter()
+                answer = self.index.query(w, k, counter=counter)
+                if isinstance(answer, TopKResult):
+                    answer = (answer.ids, answer.scores)
+                outputs.append((answer[0], answer[1], counter))
+            return outputs
+        # Gated layer index: traverse the frozen structure directly with
+        # the resolved kernel (skips re-validation; bitwise the same
+        # answers whichever kernel runs).
+        kernel = self.kernel
+        if kernel == "auto":
+            kernel = select_kernel(structure, batch_width=width, prune=self.prune)
+        elif kernel == "native" and not native_supported(structure):
+            # Forced native on a shape outside the C walker's bitwise
+            # contract (d > 7): the csr kernel serves it with the
+            # engine's solo workspace.
+            kernel = "csr"
+        if kernel == "reference" and self.prune and structure.has_layer_bounds:
+            # The reference kernel has no pruning path; the CSR kernel is
+            # bitwise identical, so promote when the frozen bound table
+            # makes pruning worthwhile.
+            kernel = "csr"
+        counters = [AccessCounter() for _ in range(width)]
+        if kernel == "native":
+            # Compiled walker: built on first demand; an explicit request
+            # on a host without a toolchain raises a clear
+            # KernelUnavailableError, while auto only lands here when the
+            # kernel is loadable.
+            walk = get_jit_kernel()
+            self.metrics.record_kernel("native", width)
+            # Both branches are one crossing into repro_walk_many; a
+            # one-row group goes through the kernel callable itself so
+            # per-walk observers of it (the e2e tracer) still see solo
+            # walks.
+            if width == 1:
+                ids, scores = walk(
+                    structure,
+                    lanes[0],
+                    k,
+                    counters[0],
+                    prune=self.prune,
+                    workspace=self._native_workspace,
+                )
+                return [(ids, scores, counters[0])]
+            ids, scores, n_answers, counts = native_walk_many(
+                structure,
+                lanes,
+                k,
+                prune=self.prune,
+                workspace=self._native_workspace,
+            )
+            outputs = []
+            for lane, (n, (real, pseudo)) in enumerate(
+                zip(n_answers.tolist(), counts.tolist())
+            ):
+                counter = counters[lane]
+                counter.real = real
+                counter.pseudo = pseudo
+                outputs.append((ids[lane, :n], scores[lane, :n], counter))
+            return outputs
+        self.metrics.record_kernel(kernel, width)
+        if kernel == "batch":
+            outputs = process_top_k_batch(
+                structure,
+                lanes,
+                k,
+                counters,
+                workspace=self._workspace,
+                prune=self.prune,
+            )
+        elif kernel == "reference":
+            outputs = [
+                process_top_k_reference(structure, w, k, counter)
+                for w, counter in zip(lanes, counters)
+            ]
+        else:
+            outputs = [
+                process_top_k(
                     structure,
                     w,
                     k,
@@ -530,8 +520,27 @@ class QueryEngine:
                     prune=self.prune,
                     workspace=self._solo_workspace,
                 )
-            result = self.index.query(w, k, counter=counter)
-            return result.ids, result.scores
-        # Duck-typed mutable index (DynamicDualLayerIndex): returns ids
-        # remapped to insertion-order ids.
-        return self.index.query(w, k, counter=counter)
+                for w, counter in zip(lanes, counters)
+            ]
+        return [
+            (ids, scores, counter)
+            for (ids, scores), counter in zip(outputs, counters)
+        ]
+
+
+def normalize_rows(matrix: np.ndarray, d: int) -> np.ndarray:
+    """:func:`~repro.relation.normalize_weights` over every row at once.
+
+    Row ``i`` of the result is bitwise ``normalize_weights(matrix[i], d)``:
+    both divide by numpy's pairwise sum along a contiguous row.  A matrix
+    with a bad row raises exactly what ``normalize_weights`` raises on the
+    first bad row, before any row is served.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.shape[1] != d or not d:
+        normalize_weights(matrix[0], d)  # raises the width error
+    # min/max propagate NaN, so both comparisons fail on any NaN entry.
+    if not (matrix.min() > 0 and matrix.max() < np.inf):
+        valid = ((matrix > 0) & (matrix < np.inf)).all(axis=1)
+        normalize_weights(matrix[np.argmin(valid)], d)  # first bad row
+    return matrix / matrix.sum(axis=1, keepdims=True)

@@ -1,10 +1,13 @@
 """Serving metrics: latency, Definition 9 cost, cache hits, queue depth.
 
 A thread-safe registry shared by every query path of the
-:class:`~repro.serving.engine.QueryEngine`.  Each query is tracked through
-the :meth:`MetricsRegistry.track` context manager, which measures wall-clock
-latency and maintains the in-flight queue-depth gauge; the engine fills in
-the cost and cache outcome on the yielded record.  :meth:`as_dict` exports a
+:class:`~repro.serving.engine.QueryEngine`.  Each engine call is tracked
+through the :meth:`MetricsRegistry.track_rows` context manager (one
+registry update per call, however many rows it serves), which measures
+wall-clock latency and maintains the in-flight queue-depth gauge; the
+engine fills in the cost and cache outcome on the yielded record.  Callers
+that serve one query at a time (the cluster coordinator) use
+:meth:`MetricsRegistry.track`.  :meth:`as_dict` exports a
 flat snapshot for reporting (the ``serve-bench`` CLI renders it).
 """
 
@@ -32,6 +35,53 @@ class QueryRecord:
         #: True when the query's end-to-end latency missed its SLO target
         #: (only the gateway sets this — offline paths have no SLO).
         self.slo_violated = False
+
+
+class RowsRecord:
+    """Context manager tracking one engine call that serves ``rows`` queries.
+
+    Returned by :meth:`MetricsRegistry.track_rows`; the engine fills in
+    :attr:`hits`, :attr:`cost` and :attr:`max_cost` while serving.
+    """
+
+    __slots__ = ("_registry", "rows", "batched", "hits", "cost", "max_cost", "_start")
+
+    def __init__(self, registry: "MetricsRegistry", rows: int, batched: bool) -> None:
+        self._registry = registry
+        self.rows = rows
+        self.batched = batched
+        #: Rows answered from the result cache.
+        self.hits = 0
+        #: Definition 9 cost summed over the rows (cache hits add 0).
+        self.cost = 0
+        #: Largest single-row cost.
+        self.max_cost = 0
+        self._start = 0.0
+
+    def __enter__(self) -> "RowsRecord":
+        registry = self._registry
+        with registry._lock:
+            registry.queue_depth += self.rows
+            if registry.queue_depth > registry.max_queue_depth:
+                registry.max_queue_depth = registry.queue_depth
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        rows = self.rows
+        share = (time.perf_counter() - self._start) / rows
+        registry = self._registry
+        with registry._lock:
+            registry.queue_depth -= rows
+            registry.queries += rows
+            registry.cache_hits += self.hits
+            registry.cache_misses += rows - self.hits
+            if self.batched:
+                registry.batched_queries += rows
+            registry.total_cost += self.cost
+            if self.max_cost > registry.max_cost:
+                registry.max_cost = self.max_cost
+            registry._latency.record_many(share, rows)
 
 
 class MetricsRegistry:
@@ -107,6 +157,20 @@ class MetricsRegistry:
                 if record.cost > self.max_cost:
                     self.max_cost = record.cost
                 self._latency.record(elapsed)
+
+    def track_rows(self, rows: int, *, batched: bool) -> RowsRecord:
+        """Track one call serving ``rows`` queries: a single registry update.
+
+        The engine's serving path answers a whole weight matrix per call
+        (a solo query is a one-row call), so it takes the lock twice per
+        call rather than twice per row.  The ``rows`` queries count as
+        in flight for the call's duration; on exit every row is counted
+        as served — a hit for each of the record's ``hits``, a miss
+        otherwise — and each row gets the call's amortized latency
+        ``elapsed / rows`` as its latency sample.  ``batched`` marks the
+        rows as ``query_batch`` traffic.
+        """
+        return RowsRecord(self, rows, batched)
 
     def record_external(
         self,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from itertools import repeat
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -58,6 +59,13 @@ class LatencyWindow:
         self._samples.append(float(seconds))
         self.count += 1
         self.total += float(seconds)
+
+    def record_many(self, seconds: float, count: int) -> None:
+        """Add ``count`` equal samples (one amortized share per row)."""
+        seconds = float(seconds)
+        self._samples.extend(repeat(seconds, count))
+        self.count += count
+        self.total += seconds * count
 
     @property
     def mean(self) -> float:

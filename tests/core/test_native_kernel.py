@@ -1,4 +1,4 @@
-"""Native compiled solo-walk kernel: bitwise equivalence + fallback ladder.
+"""Native compiled walk kernel: bitwise equivalence + fallback ladder.
 
 Three concerns, matching the kernel's contract:
 
@@ -6,7 +6,8 @@ Three concerns, matching the kernel's contract:
   DL/DL+ structures, and prune on/off, the C walk must return the same
   answer *bytes* and the same Definition-9 real/pseudo counts as the
   python kernels (which are themselves pinned to the per-node reference
-  oracle).
+  oracle), both one query at a time and for a whole group of lanes in
+  one ``repro_walk_many`` crossing.
 * **Fallback ladder** — on a host without a compiler (or with a broken
   build), ``kernel="auto"`` must silently serve via the python kernels
   with exactly one logged warning, while an explicit ``kernel="native"``
@@ -24,7 +25,7 @@ from repro.core import DLIndex, DLPlusIndex, dispatch
 from repro.core.query import process_top_k, process_top_k_reference
 from repro.data import generate
 from repro.exceptions import KernelUnavailableError
-from repro.relation import normalize_weights
+from repro.relation import Relation, normalize_weights
 from repro.serving import QueryEngine
 from repro.stats import AccessCounter
 
@@ -36,6 +37,7 @@ from repro.core.native import (  # noqa: E402
     native_process_top_k,
     native_ready,
     native_supported,
+    native_walk_many,
 )
 from repro.core.native import build as native_build  # noqa: E402
 from repro.core.native import kernel as native_kernel_mod  # noqa: E402
@@ -85,6 +87,117 @@ def test_bitwise_identity_grid(family, d, index_cls, prune):
             assert nat_scores.tobytes() == ref_scores.tobytes()
             assert nat_counter.real == ref_counter.real
             assert nat_counter.pseudo == ref_counter.pseudo
+
+
+_STRUCTURES: dict = {}
+
+
+def _structure(family: str, d: int, index_cls):
+    """Built structures shared across the many-lane grid's prune cells."""
+    key = (family, d, index_cls)
+    if key not in _STRUCTURES:
+        relation = generate(family, 200, d, seed=60 + d)
+        _STRUCTURES[key] = index_cls(relation).build().structure
+    return _STRUCTURES[key]
+
+
+def assert_many_lanes_match(structure, weights, ks, prune, workspace=None):
+    """One ``native_walk_many`` call vs per-lane python walks: byte-equal
+    ids and scores against the per-node reference oracle, and exact
+    real/pseudo counts against the reference (unpruned) or the pruned
+    csr kernel (the reference has no pruning path)."""
+    weights = np.asarray(weights, dtype=np.float64)
+    ids, scores, n_answers, counts = native_walk_many(
+        structure, weights, ks, prune=prune, workspace=workspace
+    )
+    ks = np.broadcast_to(np.asarray(ks), (weights.shape[0],))
+    assert ids.shape == scores.shape == (weights.shape[0], ids.shape[1])
+    for lane, (w, k) in enumerate(zip(weights, ks.tolist())):
+        ref_counter = AccessCounter()
+        ref_ids, ref_scores = process_top_k_reference(structure, w, k, ref_counter)
+        n = int(n_answers[lane])
+        assert ids[lane, :n].tobytes() == ref_ids.tobytes(), f"lane {lane} ids"
+        assert scores[lane, :n].tobytes() == ref_scores.tobytes(), f"lane {lane}"
+        if prune:
+            ref_counter = AccessCounter()
+            process_top_k(structure, w, k, ref_counter, prune=True)
+        assert tuple(counts[lane]) == (ref_counter.real, ref_counter.pseudo), (
+            f"lane {lane} Definition-9 counts"
+        )
+
+
+@requires_native
+@pytest.mark.parametrize("family", ["IND", "ANT", "COR"])
+@pytest.mark.parametrize("d", range(1, NATIVE_MAX_DIM + 1))
+@pytest.mark.parametrize("index_cls", [DLIndex, DLPlusIndex], ids=["DL", "DL+"])
+@pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
+def test_walk_many_bitwise_grid(family, d, index_cls, prune):
+    """``repro_walk_many`` over IND/ANT/COR x d=1..7 x DL/DL+ x prune:
+    every lane of one crossing equals its own reference walk (DL+ at d=2
+    walks from per-lane weight-range selector seeds).  The lanes mix k
+    (k >= n included), repeat a row, and reuse one workspace across
+    calls."""
+    structure = _structure(family, d, index_cls)
+    if d == 2 and index_cls is DLPlusIndex:
+        assert structure.seed_selector is not None
+    rng = np.random.default_rng(1000 * d + len(family))
+    weights = rng.dirichlet(np.ones(d), size=8)
+    weights[5] = weights[1]  # duplicate lane
+    ks = [1, 5, 23, structure.n_real + 7, 5, 1, 64, structure.n_real]
+    workspace = NativeWorkspace()
+    for _ in range(2):
+        assert_many_lanes_match(structure, weights, ks, prune, workspace)
+    assert workspace.checkouts == 2  # one checkout per crossing
+
+
+@requires_native
+@pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
+def test_walk_many_tied_duplicate_tuples(prune):
+    """Exact duplicate tuples score identically: every lane must break the
+    (score, id) ties exactly as its reference walk does."""
+    rng = np.random.default_rng(77)
+    base = rng.random((80, 3))
+    relation = Relation(np.vstack([base, base[:30], base[:10]]), check_domain=False)
+    for index_cls in (DLIndex, DLPlusIndex):
+        structure = index_cls(relation).build().structure
+        weights = rng.dirichlet(np.ones(3), size=6)
+        weights[4] = weights[0]
+        assert_many_lanes_match(structure, weights, 40, prune)
+
+
+@requires_native
+@pytest.mark.parametrize("n_lanes", [1, 257])
+def test_walk_many_widths(n_lanes):
+    """One lane and 257 lanes (wider than any power-of-two bucket the
+    engine sees) walk bitwise like their reference walks."""
+    structure = _structure("ANT", 3, DLPlusIndex)
+    weights = np.random.default_rng(n_lanes).dirichlet(np.ones(3), size=n_lanes)
+    assert_many_lanes_match(structure, weights, 9, prune=False)
+
+
+@requires_native
+def test_walk_many_rejects_malformed_calls():
+    """Shapes the C side would misread are refused in python, and d=8 —
+    outside the bitwise contract — still routes to csr: a forced-native
+    ``query_batch`` group and an ``auto`` solo query alike."""
+    structure = _structure("IND", 3, DLIndex)
+    w = np.full((2, 3), 1 / 3)
+    with pytest.raises(ValueError):
+        native_walk_many(structure, w[:, :2], 5)  # wrong width
+    with pytest.raises(ValueError):
+        native_walk_many(structure, w, [5, 5, 5])  # one k per lane
+    with pytest.raises(ValueError):
+        native_walk_many(structure, w, 5, seeds=[np.array([0]), np.array([10**6])])
+    d = NATIVE_MAX_DIM + 1
+    index = DLIndex(generate("IND", 150, d, seed=21)).build()
+    with pytest.raises(ValueError):
+        native_walk_many(index.structure, np.full((1, d), 1 / d), 5)
+    assert dispatch.select_kernel(index.structure) == "csr"
+    forced = QueryEngine(index, cache_size=0, kernel="native")
+    forced.query_batch(np.random.default_rng(8).dirichlet(np.ones(d), size=16), 5)
+    forced.query(np.full(d, 1 / d), 5)
+    assert forced.stats()["kernel_csr"] == 17.0
+    assert forced.stats().get("kernel_native", 0.0) == 0.0
 
 
 @requires_native

@@ -181,3 +181,52 @@ def test_auto_query_batch_walks_native_lanes():
                 counter.real,
                 counter.pseudo,
             )
+
+
+@pytest.mark.parametrize("cache_size", [0, 512])
+def test_query_batch_one_crossing_per_group(cache_size):
+    """``query_batch`` sends each native k-group across the FFI once.  A
+    257-row batch with mixed per-row k (k >= n included), duplicate rows
+    and tied tuples answers every row bitwise like the per-node reference
+    kernel, with exact real/pseudo counts on every computed row; one
+    native workspace checkout serves each multi-row group, and a one-row
+    batch is one more crossing."""
+    from repro.core.native import native_ready
+    from repro.core.query import process_top_k_reference
+    from repro.relation import normalize_weights
+    from repro.serving import QueryEngine
+
+    if not native_ready():
+        pytest.skip("native kernel not buildable on this host")
+    rng = np.random.default_rng(257)
+    base = generate("ANT", 300, 3, seed=_seed_for("ANT", 3)).matrix
+    relation = Relation(np.vstack([base, base[:40]]), check_domain=False)
+    index = DLPlusIndex(relation).build()
+    engine = QueryEngine(index, cache_size=cache_size)
+    weights = rng.dirichlet(np.ones(3), size=257)
+    ks = rng.choice([1, 7, 25, relation.n, relation.n + 50], size=257)
+    weights[200:230] = weights[:30]  # duplicate rows
+    ks[200:230] = ks[:30]
+    results = engine.query_batch(weights, ks)
+    computed = 0
+    for w, k, result in zip(weights, ks, results):
+        counter = AccessCounter()
+        ids, scores = process_top_k_reference(
+            index.structure, normalize_weights(w, 3), int(k), counter
+        )
+        assert result.ids.tobytes() == ids.tobytes()
+        assert result.scores.tobytes() == scores.tobytes()
+        if result.counter.total:
+            computed += 1
+            assert (result.counter.real, result.counter.pseudo) == (
+                counter.real,
+                counter.pseudo,
+            )
+    stats = engine.stats()
+    groups = len(set(np.minimum(ks, relation.n).tolist()))
+    assert stats["kernel_native"] == computed
+    assert stats["batches"] == groups
+    assert stats["native_workspace_checkouts"] == groups
+    assert computed == (257 if cache_size == 0 else 257 - 30)
+    engine.query_batch(rng.dirichlet(np.ones(3), size=1), 7)
+    assert engine.stats()["native_workspace_checkouts"] == groups + 1
