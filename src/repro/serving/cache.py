@@ -59,18 +59,18 @@ class ResultCache:
 
     def make_key(self, weights: np.ndarray, k: int, version: int) -> CacheKey:
         """The cache key of a (normalized weights, k, version) query."""
-        quantized = np.round(np.asarray(weights, dtype=np.float64), self.decimals)
-        quantized = quantized + 0.0  # fold -0.0 into +0.0 for stable bytes
-        return (quantized.tobytes(), int(k), int(version))
+        row = np.asarray(weights, dtype=np.float64).reshape(1, -1)
+        return self.make_keys(row, [k], version)[0]
 
     def make_keys(
         self, weights_matrix: np.ndarray, ks, version: int
     ) -> list[CacheKey]:
-        """:meth:`make_key` for every row of a ``(B, d)`` matrix at once.
+        """The cache keys of every row of a ``(B, d)`` matrix at once.
 
-        The matrix is rounded in one pass (rounding is elementwise, so
-        row ``i``'s key equals ``make_key(weights_matrix[i], ks[i],
-        version)`` byte for byte).
+        The one definition of the key format: the matrix is rounded to
+        ``decimals`` places in one pass, ``-0.0`` is folded into ``+0.0``,
+        and row ``i``'s bytes are paired with ``int(ks[i])`` and the
+        version.  :meth:`make_key` is the one-row call.
         """
         quantized = np.asarray(weights_matrix, dtype=np.float64).round(
             self.decimals
@@ -81,7 +81,7 @@ class ResultCache:
         version = int(version)
         return [
             (flat[i * width : (i + 1) * width], k, version)
-            for i, k in enumerate(np.asarray(ks).tolist())
+            for i, k in enumerate(np.asarray(ks, dtype=np.int64).tolist())
         ]
 
     def get(self, key: CacheKey) -> tuple[np.ndarray, np.ndarray] | None:

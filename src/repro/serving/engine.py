@@ -459,26 +459,13 @@ class QueryEngine:
             kernel = "csr"
         counters = [AccessCounter() for _ in range(width)]
         if kernel == "native":
-            # Compiled walker: built on first demand; an explicit request
-            # on a host without a toolchain raises a clear
-            # KernelUnavailableError, while auto only lands here when the
-            # kernel is loadable.
-            walk = get_jit_kernel()
+            # Compiled walker, built on first demand: get_jit_kernel()
+            # raises a clear KernelUnavailableError for an explicit
+            # request on a host without a toolchain (auto only lands here
+            # when the kernel is loadable).  Every group, one row or many,
+            # crosses into it once.
+            get_jit_kernel()
             self.metrics.record_kernel("native", width)
-            # Both branches are one crossing into repro_walk_many; a
-            # one-row group goes through the kernel callable itself so
-            # per-walk observers of it (the e2e tracer) still see solo
-            # walks.
-            if width == 1:
-                ids, scores = walk(
-                    structure,
-                    lanes[0],
-                    k,
-                    counters[0],
-                    prune=self.prune,
-                    workspace=self._native_workspace,
-                )
-                return [(ids, scores, counters[0])]
             ids, scores, n_answers, counts = native_walk_many(
                 structure,
                 lanes,

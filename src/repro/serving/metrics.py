@@ -5,60 +5,70 @@ A thread-safe registry shared by every query path of the
 through the :meth:`MetricsRegistry.track_rows` context manager (one
 registry update per call, however many rows it serves), which measures
 wall-clock latency and maintains the in-flight queue-depth gauge; the
-engine fills in the cost and cache outcome on the yielded record.  Callers
-that serve one query at a time (the cluster coordinator) use
-:meth:`MetricsRegistry.track`.  :meth:`as_dict` exports a
-flat snapshot for reporting (the ``serve-bench`` CLI renders it).
+engine fills in the cost and cache outcome on the returned
+:class:`QueryRecord`.  Callers that serve one query at a time (the cluster
+coordinator) use :meth:`MetricsRegistry.track`, the one-row form.
+:meth:`as_dict` exports a flat snapshot for reporting (the ``serve-bench``
+CLI renders it).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 
 from repro.stats import LatencyWindow
 
 
 class QueryRecord:
-    """Mutable per-query record the engine fills in while serving."""
+    """Context manager tracking one call that serves ``rows`` queries.
 
-    __slots__ = ("hit", "cost", "batched", "slo_violated")
-
-    def __init__(self) -> None:
-        #: True when the answer came from the result cache.
-        self.hit = False
-        #: Definition 9 cost (tuples evaluated); 0 for cache hits.
-        self.cost = 0
-        #: True when the query arrived through ``query_batch``.
-        self.batched = False
-        #: True when the query's end-to-end latency missed its SLO target
-        #: (only the gateway sets this — offline paths have no SLO).
-        self.slo_violated = False
-
-
-class RowsRecord:
-    """Context manager tracking one engine call that serves ``rows`` queries.
-
-    Returned by :meth:`MetricsRegistry.track_rows`; the engine fills in
-    :attr:`hits`, :attr:`cost` and :attr:`max_cost` while serving.
+    Returned by :meth:`MetricsRegistry.track_rows` (and by
+    :meth:`MetricsRegistry.track`, a one-row call); the caller fills in
+    the cost and cache outcome while serving, and the registry folds the
+    record in on exit under one lock.
     """
 
-    __slots__ = ("_registry", "rows", "batched", "hits", "cost", "max_cost", "_start")
+    __slots__ = (
+        "_registry",
+        "rows",
+        "batched",
+        "hits",
+        "cost",
+        "max_cost",
+        "slo_violated",
+        "_start",
+    )
 
-    def __init__(self, registry: "MetricsRegistry", rows: int, batched: bool) -> None:
+    def __init__(
+        self, registry: "MetricsRegistry", rows: int = 1, batched: bool = False
+    ) -> None:
         self._registry = registry
         self.rows = rows
+        #: True when the rows arrived through ``query_batch``.
         self.batched = batched
         #: Rows answered from the result cache.
         self.hits = 0
-        #: Definition 9 cost summed over the rows (cache hits add 0).
+        #: Definition 9 cost (tuples evaluated) summed over the rows;
+        #: cache hits add 0.
         self.cost = 0
-        #: Largest single-row cost.
+        #: Largest single-row cost (a one-row record uses :attr:`cost`).
         self.max_cost = 0
+        #: True when the rows' end-to-end latency missed their SLO target
+        #: (only the gateway sets this — offline paths have no SLO).
+        self.slo_violated = False
         self._start = 0.0
 
-    def __enter__(self) -> "RowsRecord":
+    @property
+    def hit(self) -> bool:
+        """True when every row came from the result cache."""
+        return self.hits == self.rows
+
+    @hit.setter
+    def hit(self, value: bool) -> None:
+        self.hits = self.rows if value else 0
+
+    def __enter__(self) -> "QueryRecord":
         registry = self._registry
         with registry._lock:
             registry.queue_depth += self.rows
@@ -67,33 +77,41 @@ class RowsRecord:
         self._start = time.perf_counter()
         return self
 
-    def __exit__(self, *exc) -> None:
-        rows = self.rows
-        share = (time.perf_counter() - self._start) / rows
+    def __exit__(self, exc_type, exc, tb) -> None:
+        elapsed = time.perf_counter() - self._start
+        if exc_type is None:
+            served, hits = self.rows, self.hits
+        else:
+            # A call that raises returns no row: it counts as one failed
+            # query (a miss), however many rows it carried.
+            served, hits = 1, 0
+        max_cost = self.cost if self.rows == 1 else self.max_cost
         registry = self._registry
         with registry._lock:
-            registry.queue_depth -= rows
-            registry.queries += rows
-            registry.cache_hits += self.hits
-            registry.cache_misses += rows - self.hits
+            registry.queue_depth -= self.rows
+            registry.queries += served
+            registry.cache_hits += hits
+            registry.cache_misses += served - hits
             if self.batched:
-                registry.batched_queries += rows
+                registry.batched_queries += served
+            if self.slo_violated:
+                registry.slo_violations += served
             registry.total_cost += self.cost
-            if self.max_cost > registry.max_cost:
-                registry.max_cost = self.max_cost
-            registry._latency.record_many(share, rows)
+            if max_cost > registry.max_cost:
+                registry.max_cost = max_cost
+            registry._latency.record_many(elapsed / served, served)
 
 
 class MetricsRegistry:
     """Aggregates per-query serving metrics; safe for concurrent writers.
 
-    Thread-safety contract: every mutation — the :meth:`track` context
-    manager's enter/exit, :meth:`record_external`, :meth:`reset` — runs
-    under the registry's single lock, covering the counters *and* the
-    latency window together, so concurrent writers (the serving engine's
-    thread pool, the cluster coordinator driving one registry per shard
-    from its scatter threads) can never lose an update or tear a
-    counter/latency pair.  :meth:`as_dict` snapshots under the same lock.
+    Thread-safety contract: every mutation — a tracked
+    :class:`QueryRecord`'s enter/exit, :meth:`record_external`,
+    :meth:`reset` — runs under the registry's single lock, covering the
+    counters *and* the latency window together, so concurrent writers
+    (the serving engine's thread pool, the cluster coordinator driving
+    one registry per shard from its scatter threads) can never lose an
+    update or tear a counter/latency pair.  :meth:`as_dict` snapshots under the same lock.
     """
 
     def __init__(self, *, latency_window: int = 4096) -> None:
@@ -129,48 +147,25 @@ class MetricsRegistry:
         #: buys over the per-query latency window above.
         self._batch_amortized = LatencyWindow(latency_window)
 
-    @contextmanager
-    def track(self):
-        """Track one query: latency, queue depth, and the engine's record."""
-        with self._lock:
-            self.queue_depth += 1
-            if self.queue_depth > self.max_queue_depth:
-                self.max_queue_depth = self.queue_depth
-        record = QueryRecord()
-        start = time.perf_counter()
-        try:
-            yield record
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self.queue_depth -= 1
-                self.queries += 1
-                if record.hit:
-                    self.cache_hits += 1
-                else:
-                    self.cache_misses += 1
-                if record.batched:
-                    self.batched_queries += 1
-                if record.slo_violated:
-                    self.slo_violations += 1
-                self.total_cost += record.cost
-                if record.cost > self.max_cost:
-                    self.max_cost = record.cost
-                self._latency.record(elapsed)
+    def track(self) -> QueryRecord:
+        """Track one query: latency, queue depth, and the caller's record."""
+        return QueryRecord(self)
 
-    def track_rows(self, rows: int, *, batched: bool) -> RowsRecord:
+    def track_rows(self, rows: int, *, batched: bool) -> QueryRecord:
         """Track one call serving ``rows`` queries: a single registry update.
 
         The engine's serving path answers a whole weight matrix per call
         (a solo query is a one-row call), so it takes the lock twice per
         call rather than twice per row.  The ``rows`` queries count as
-        in flight for the call's duration; on exit every row is counted
-        as served — a hit for each of the record's ``hits``, a miss
-        otherwise — and each row gets the call's amortized latency
-        ``elapsed / rows`` as its latency sample.  ``batched`` marks the
-        rows as ``query_batch`` traffic.
+        in flight for the call's duration; on a normal exit every row is
+        counted as served — a hit for each of the record's ``hits``, a
+        miss otherwise — and each row gets the call's amortized latency
+        ``elapsed / rows`` as its latency sample.  A call that raises
+        returns no row and counts as one failed query (a miss with the
+        call's latency), whatever its width.  ``batched`` marks the rows
+        as ``query_batch`` traffic.
         """
-        return RowsRecord(self, rows, batched)
+        return QueryRecord(self, rows, batched)
 
     def record_external(
         self,
@@ -186,11 +181,10 @@ class MetricsRegistry:
         The cluster coordinator's threshold merge drives shard cursors
         directly (round-robin, interleaved across shards), so a shard's
         share of the work has no contiguous wall-clock span to wrap in
-        :meth:`track`; the engine's fused ``query_batch`` path likewise
-        serves many rows in one kernel call and attributes each row its
-        amortized share of the batch's wall clock.  This records one
-        served query's cost (and optionally its latency share), under
-        the same single lock.
+        :meth:`track`; the gateway likewise records each query's
+        end-to-end latency and SLO outcome after its flush.  This records
+        one served query's cost (and optionally its latency), under the
+        same single lock.
         """
         with self._lock:
             self.queries += 1
@@ -211,9 +205,8 @@ class MetricsRegistry:
     def record_kernel(self, name: str, count: int = 1) -> None:
         """Attribute ``count`` served queries to kernel ``name``.
 
-        Called by the engine on every traversal (never on cache hits):
-        once per query on the solo paths, once per group with the lane
-        count on the fused batch path.  Surfaced as ``kernel_<name>``
+        Called by the engine once per dispatched k-group with the group's
+        lane count (never for cache hits).  Surfaced as ``kernel_<name>``
         in :meth:`as_dict` and summed by :meth:`aggregate`.
         """
         if count <= 0:
@@ -227,8 +220,8 @@ class MetricsRegistry:
         Feeds the batch-size histogram (power-of-two buckets) and, when
         ``seconds`` is given, the amortized per-query latency window with
         one ``seconds / size`` sample.  Per-row counters are *not*
-        touched here — each row still goes through :meth:`track` or
-        :meth:`record_external` — so ``batch_rows`` vs ``queries``
+        touched here — the rows are counted by the call's
+        :meth:`track_rows` record — so ``batch_rows`` vs ``queries``
         separates kernel invocations from served queries.
         """
         if size <= 0:

@@ -458,6 +458,14 @@ def test_native_kernel_guarded_in_engine(broken_native_build):
     with pytest.raises(KernelUnavailableError):
         engine.query_batch(np.stack([w, np.array([0.1, 0.6, 0.3])]), 5)
     assert engine.stats().get("kernel_native", 0.0) == 0.0
+    # Each failed call counts as one failed query, not one per row: the
+    # two-row batch served nothing.
+    stats = engine.stats()
+    assert stats["queries"] == 2.0
+    assert stats["batched_queries"] == 1.0
+    assert stats["hit_rate"] == 0.0
+    assert stats["queue_depth"] == 0.0
+    assert stats["max_queue_depth"] == 2.0
 
     auto = QueryEngine(index, cache_size=0)
     result = auto.query(w, 5)
