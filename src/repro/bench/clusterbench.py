@@ -162,11 +162,8 @@ def run_cluster_bench(
             merges: dict[str, dict] = {}
             streams: dict[str, dict] = {}
             for merge in MERGE_STRATEGIES:
-                stream = _serve_stream(
-                    lambda w, kk, m=merge: cluster.query(w, kk, merge=m),
-                    workload.weights,
-                    k,
-                )
+                cluster.merge = merge
+                stream = _serve_stream(cluster.query, workload.weights, k)
                 if not _bitwise_equal(reference, stream["answers"]):
                     raise AssertionError(
                         f"cluster mismatch: {merge} merge disagrees with the "

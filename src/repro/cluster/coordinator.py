@@ -3,7 +3,13 @@
 :class:`ClusterEngine` serves the same ``query`` / ``query_batch`` /
 ``query_many`` surface as the single-node
 :class:`~repro.serving.QueryEngine`, but over N partitioned DL/DL+ shards
-(:mod:`repro.cluster.partition` / :mod:`repro.cluster.shard`).
+(:mod:`repro.cluster.partition` / :mod:`repro.cluster.shard`).  Both
+engines serve through one loop,
+:class:`~repro.serving.engine.ServingLoop`: validation, normalization,
+cache keys, cache hits, in-flight deduplication, grouping by effective k
+and metrics are shared.  What is the cluster's own is how a k-group of
+cache misses is merged, that a hit returns ``merge="cache"``, and that a
+partial answer is never cached.
 
 Merge correctness
 -----------------
@@ -20,12 +26,13 @@ lists shard members in ascending global id (see
 batch-size-invariant einsum contraction of :mod:`repro.core.query`).
 
 Two merge strategies are implemented, both returning that identical
-answer:
+answer; the constructor's ``merge`` picks one:
 
-* **naive** — every shard answers its full local top-k
-  (:meth:`Shard.topk`) and the coordinator heap-merges the sorted streams.
-  Total Definition 9 cost is the sum of full per-shard traversals.
-* **threshold** — round-robin incremental fetches on per-shard
+* **naive** — every shard answers its full local top-k for the whole
+  k-group of miss rows in one :meth:`Shard.topk_batch` call and the
+  coordinator heap-merges each row's sorted streams.  Total Definition 9
+  cost is the sum of full per-shard traversals.
+* **threshold** — per row, round-robin incremental fetches on per-shard
   :class:`~repro.core.cursor.TopKCursor`\\ s with a global k-th-score
   cutoff (the cursor's ``stop_score`` threshold hook): once k candidates
   are held, a shard that emits past the current k-th best ``(score, id)``
@@ -34,6 +41,12 @@ answer:
   the traversal the naive merge would have paid, so the threshold merge's
   total cost is **never worse than naive** — the saving is reported per
   query and in ``repro-topk cluster-bench``.
+
+Each wins one metric, so both stay.  In the committed ``BENCH_cluster.json``
+(IND/ANT, d=4, n=20k, k=10, 2-8 angular shards, native shard walks)
+threshold evaluates 11-31% fewer tuples than naive, while naive's p50
+is 1.9-5.0x lower: it walks each shard natively in one crossing per
+group, where threshold steps python cursors fetch by fetch.
 
 Fault handling
 --------------
@@ -53,7 +66,6 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,11 +73,10 @@ import numpy as np
 from repro.cluster.partition import Partitioning, make_partitioning
 from repro.cluster.shard import Shard, ShardAnswer, build_shards
 from repro.core.base import TopKResult
-from repro.exceptions import InvalidQueryError, InvalidWeightError, ShardFailedError
-from repro.relation import Relation, normalize_weights
-from repro.serving.cache import ResultCache
-from repro.serving.engine import validate_k
-from repro.serving.metrics import MetricsRegistry, QueryRecord
+from repro.exceptions import InvalidQueryError, ShardFailedError
+from repro.relation import Relation
+from repro.serving.engine import ServingLoop
+from repro.serving.metrics import MetricsRegistry
 from repro.stats import AccessCounter
 
 
@@ -92,7 +103,7 @@ class ClusterResult(TopKResult):
 MERGE_STRATEGIES = ("naive", "threshold")
 
 
-class ClusterEngine:
+class ClusterEngine(ServingLoop):
     """Scatter-gather top-k serving over partitioned DL/DL+ shards.
 
     Parameters
@@ -120,7 +131,8 @@ class ClusterEngine:
         the lane-parallel batch kernel for forwarded weight groups); an
         explicit ``engine_kwargs["kernel"]`` wins.
     merge:
-        Default merge strategy (overridable per query).
+        Merge strategy, ``"threshold"`` (default) or ``"naive"``; the
+        ``merge`` attribute may be reassigned between calls.
     replicate:
         Attach a serialization-hydrated replica to every shard.
     snapshot_dir:
@@ -135,10 +147,10 @@ class ClusterEngine:
         :class:`~repro.serving.QueryEngine`).
     build_workers:
         Thread-pool width for the initial shard builds.
-    scatter_workers:
-        Thread-pool width for fanning the naive merge's per-shard queries
-        out concurrently (``None``/``0`` scatters sequentially).
     """
+
+    # Shards normalize the rows they receive: they get the raw rows.
+    _forward_raw = True
 
     def __init__(
         self,
@@ -157,7 +169,6 @@ class ClusterEngine:
         quantize_decimals: int = 12,
         latency_window: int = 4096,
         build_workers: int | None = None,
-        scatter_workers: int | None = None,
     ) -> None:
         if merge not in MERGE_STRATEGIES:
             raise InvalidQueryError(
@@ -183,19 +194,17 @@ class ClusterEngine:
             build_workers=build_workers,
             snapshot_dir=snapshot_dir,
         )
-        self.cache = ResultCache(cache_size, decimals=quantize_decimals)
-        self.metrics = MetricsRegistry(latency_window=latency_window)
-        self._scatter_pool = (
-            ThreadPoolExecutor(max_workers=min(scatter_workers, shards))
-            if scatter_workers and scatter_workers > 1 and shards > 1
-            else None
-        )
         # Cluster-wide monotone version: bumped by every routed mutation;
         # keys the result cache so maintenance can never serve stale hits.
         self._version = 1
         # Growing global-id space: shard owner per ever-assigned id
         # (-1 once deleted); new ids continue past the initial n.
         self._owner = self.partitioning.shard_of.copy()
+        super().__init__(
+            cache_size=cache_size,
+            quantize_decimals=quantize_decimals,
+            latency_window=latency_window,
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection (QueryEngine-parity surface)
@@ -220,11 +229,8 @@ class ClusterEngine:
         return len(self.shards)
 
     def stats(self) -> dict:
-        """Coordinator metrics + cache + per-shard and rolled-up metrics."""
-        snapshot: dict = self.metrics.as_dict()
-        for key, value in self.cache.stats().items():
-            snapshot[f"cache_{key}"] = float(value)
-        snapshot["throughput_qps"] = self.metrics.throughput()
+        """:meth:`ServingLoop.stats` plus per-shard and rolled-up metrics."""
+        snapshot = super().stats()
         snapshot["num_shards"] = float(self.num_shards)
         registries = [shard.metrics_registry() for shard in self.shards]
         snapshot["shards"] = MetricsRegistry.aggregate(registries)
@@ -233,166 +239,6 @@ class ClusterEngine:
             for shard, registry in zip(self.shards, registries)
         }
         return snapshot
-
-    def analytics(self):
-        """A dual-direction :class:`~repro.analytics.AnalyticsEngine` facade.
-
-        Why-not ranks compose from per-shard beater counts
-        (:meth:`~repro.cluster.shard.Shard.beater_count`); bichromatic
-        walks scatter-gather through :meth:`query_batch`, forwarding raw
-        weights so normalization happens exactly once.
-        """
-        from repro.analytics import AnalyticsEngine
-
-        return AnalyticsEngine(self)
-
-    # ------------------------------------------------------------------ #
-    # Serving paths
-    # ------------------------------------------------------------------ #
-
-    def query(
-        self, weights: np.ndarray, k: int, *, merge: str | None = None
-    ) -> ClusterResult:
-        """Serve one top-k query through the cluster cache."""
-        raw = np.asarray(weights, dtype=np.float64)
-        w = normalize_weights(raw, self.d)
-        k = self._validate(k, merge)
-        with self.metrics.track() as record:
-            return self._serve(raw, w, k, record, merge or self.merge)
-
-    def query_batch(
-        self, weights_matrix: np.ndarray, k: int, *, merge: str | None = None
-    ) -> list[ClusterResult]:
-        """Serve one query per row, deduplicating through the cache.
-
-        Under the **naive** merge the cache-miss rows are forwarded to
-        every shard as *one* weight group (:meth:`Shard.topk_batch`), so
-        each shard runs a single batched traversal for the group instead
-        of one scatter-gather per row; the coordinator then heap-merges
-        each row's per-shard answers exactly as the per-query path does,
-        keeping answers bitwise identical.  The **threshold** merge drives
-        per-query shard cursors and stays per-row.
-        """
-        matrix = np.asarray(weights_matrix, dtype=np.float64)
-        if matrix.ndim == 1:
-            matrix = matrix[None, :]
-        if matrix.ndim != 2:
-            raise InvalidWeightError(
-                f"weight matrix must be 2-D, got shape {matrix.shape}"
-            )
-        k = self._validate(k, merge)
-        d = self.d
-        n_rows = matrix.shape[0]
-        # Fail fast: validate/normalize every row before any query runs.
-        normalized = [normalize_weights(matrix[row], d) for row in range(n_rows)]
-        if not n_rows:
-            return []
-        strategy = merge or self.merge
-        if strategy != "naive":
-            results: list[ClusterResult] = []
-            for row in range(n_rows):
-                with self.metrics.track() as record:
-                    record.batched = True
-                    results.append(
-                        self._serve(matrix[row], normalized[row], k, record, strategy)
-                    )
-            return results
-        # Naive merge: classify rows through the cache, then scatter the
-        # miss rows to the shards as one raw weight group (shards
-        # normalize once, same as the per-query path).
-        effective_k = min(int(k), self.n)
-        cache_enabled = self.cache.capacity > 0
-        out: list[ClusterResult | None] = [None] * n_rows
-        pending_keys: set = set()
-        to_compute: list[tuple[int, tuple]] = []
-        deferred: list[tuple[int, tuple]] = []
-        for row, w in enumerate(normalized):
-            key = self.cache.make_key(w, effective_k, self._version)
-            if cache_enabled and key in pending_keys:
-                deferred.append((row, key))
-                continue
-            start = time.perf_counter()
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.metrics.record_external(
-                    cost=0,
-                    seconds=time.perf_counter() - start,
-                    hit=True,
-                    batched=True,
-                )
-                out[row] = ClusterResult(
-                    ids=cached[0],
-                    scores=cached[1],
-                    counter=AccessCounter(),
-                    merge="cache",
-                )
-            else:
-                pending_keys.add(key)
-                to_compute.append((row, key))
-        if to_compute:
-            group = np.ascontiguousarray(
-                matrix[[row for row, _key in to_compute]]
-            )
-            start = time.perf_counter()
-            merged = self._merge_naive_batch(group, effective_k)
-            elapsed = time.perf_counter() - start
-            self.metrics.record_batch(len(to_compute), elapsed)
-            share = elapsed / len(to_compute)
-            for (row, key), result in zip(to_compute, merged):
-                self.metrics.record_external(
-                    cost=result.cost, seconds=share, batched=True
-                )
-                if not result.partial:
-                    self.cache.put(key, result.ids, result.scores)
-                out[row] = result
-        # Duplicates of computed rows hit the cache now; a tiny cache may
-        # have evicted the entry already, in which case compute singly —
-        # exactly what the sequential loop would have done.
-        for row, key in deferred:
-            with self.metrics.track() as record:
-                record.batched = True
-                cached = self.cache.get(key)
-                if cached is not None:
-                    record.hit = True
-                    out[row] = ClusterResult(
-                        ids=cached[0],
-                        scores=cached[1],
-                        counter=AccessCounter(),
-                        merge="cache",
-                    )
-                else:
-                    result = self._merge_naive(matrix[row], effective_k)
-                    record.cost = result.cost
-                    if not result.partial:
-                        self.cache.put(key, result.ids, result.scores)
-                    out[row] = result
-        return out
-
-    def query_many(
-        self,
-        queries,
-        *,
-        max_workers: int | None = None,
-        merge: str | None = None,
-    ) -> list[ClusterResult]:
-        """Serve ``(weights, k)`` pairs concurrently on a thread pool.
-
-        Every pair is validated before the pool spawns, so one malformed
-        row fails fast instead of surfacing as a late future exception.
-        """
-        items = list(queries)
-        if not items:
-            return []
-        d = self.d
-        validated = []
-        for weights, k in items:
-            normalize_weights(weights, d)
-            validated.append((weights, self._validate(k, merge)))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(self.query, w, k, merge=merge) for w, k in validated
-            ]
-            return [future.result() for future in futures]
 
     # ------------------------------------------------------------------ #
     # Maintenance (routed to the owning shard)
@@ -419,7 +265,7 @@ class ClusterEngine:
         self._owner = np.concatenate(
             [self._owner, np.asarray([shard_id], dtype=np.intp)]
         )
-        self._bump()
+        self._version += 1
         return int(global_id)
 
     def delete(self, global_id: int) -> None:
@@ -429,96 +275,27 @@ class ClusterEngine:
         shard_id = int(self._owner[global_id])
         self.shards[shard_id].delete(global_id)
         self._owner[global_id] = -1
-        self._bump()
-
-    def _bump(self) -> None:
         self._version += 1
-        self.cache.prune(self._version)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _validate(self, k, merge: str | None) -> int:
-        """Validate ``(k, merge)``; returns k as a plain int.
+    def _compute(self, lanes: np.ndarray, k: int) -> list[ClusterResult]:
+        """Merge one k-group of cache misses (raw rows) across the shards."""
+        if self.merge == "naive":
+            return self._merge_naive_batch(lanes, k)
+        return [self._merge_threshold(w, k) for w in lanes]
 
-        Shares :func:`~repro.serving.engine.validate_k` with the
-        single-node engine so a non-integral k raises here too instead of
-        being truncated by a later ``int(k)``.
-        """
-        value = validate_k(k)
-        if merge is not None and merge not in MERGE_STRATEGIES:
-            raise InvalidQueryError(
-                f"merge must be one of {MERGE_STRATEGIES}, got {merge!r}"
-            )
-        return value
+    def _cached(self, ids: np.ndarray, scores: np.ndarray) -> ClusterResult:
+        return ClusterResult(
+            ids=ids, scores=scores, counter=AccessCounter(), merge="cache"
+        )
 
-    def _serve(
-        self, raw: np.ndarray, w: np.ndarray, k: int, record: QueryRecord, merge: str
-    ) -> ClusterResult:
-        """Serve one validated query.
-
-        ``w`` (normalized) keys the cache; ``raw`` is what the shards
-        receive, so each shard's engine/cursor normalizes exactly once —
-        the same single normalization the single-node engine applies.
-        Normalization is not bitwise idempotent (``sum(w/s)`` is not always
-        exactly 1.0), so forwarding ``w`` would shift shard scores by an
-        ulp off the single-node answer.
-        """
-        effective_k = min(int(k), self.n)
-        key = self.cache.make_key(w, effective_k, self._version)
-        cached = self.cache.get(key)
-        if cached is not None:
-            record.hit = True
-            record.cost = 0
-            return ClusterResult(
-                ids=cached[0],
-                scores=cached[1],
-                counter=AccessCounter(),
-                merge="cache",
-            )
-        if merge == "naive":
-            result = self._merge_naive(raw, effective_k)
-        else:
-            result = self._merge_threshold(raw, effective_k)
-        record.cost = result.cost
-        if not result.partial:
-            self.cache.put(key, result.ids, result.scores)
-        return result
+    def _cacheable(self, result: ClusterResult) -> bool:
+        return not result.partial  # a degraded answer must not outlive the fault
 
     # -- naive merge --------------------------------------------------- #
-
-    def _merge_naive(self, w: np.ndarray, k: int) -> ClusterResult:
-        """Full per-shard top-k, heap-merged by ``(score, global id)``."""
-        answers: list[ShardAnswer] = []
-        failed: list[int] = []
-        recovered: list[int] = []
-
-        def ask(shard: Shard) -> ShardAnswer | None:
-            start = time.perf_counter()
-            try:
-                answer = self._with_failover(
-                    shard, lambda replica: shard.topk(w, k, use_replica=replica),
-                    recovered,
-                )
-            except ShardFailedError:
-                failed.append(shard.shard_id)
-                return None
-            # topk through a replica bypasses the primary's registry;
-            # recovered queries are folded in here so per-shard metrics
-            # always reflect the shard's served traffic.
-            if answer is not None and shard.shard_id in recovered:
-                shard.metrics_registry().record_external(
-                    cost=answer.cost, seconds=time.perf_counter() - start
-                )
-            return answer
-
-        if self._scatter_pool is not None:
-            gathered = list(self._scatter_pool.map(ask, self.shards))
-        else:
-            gathered = [ask(shard) for shard in self.shards]
-        answers = [answer for answer in gathered if answer is not None]
-        return self._combine_answers(answers, k, failed, recovered)
 
     @staticmethod
     def _combine_answers(
@@ -558,15 +335,16 @@ class ClusterEngine:
     def _merge_naive_batch(
         self, matrix: np.ndarray, k: int
     ) -> list[ClusterResult]:
-        """Batched naive merge: one :meth:`Shard.topk_batch` per shard.
+        """The naive merge of a group of rows: one :meth:`Shard.topk_batch`
+        per shard.
 
         Every shard receives the whole raw weight group and answers all
-        rows in one batched traversal; each row is then heap-merged across
-        shards exactly like :meth:`_merge_naive`, so row ``i`` of the
-        returned list is bitwise identical to ``_merge_naive(matrix[i], k)``.
-        A shard whose primary and replica both fail drops out of *every*
-        row's merge (all rows flagged partial), mirroring the per-query
-        failure semantics.
+        rows in one batched call; each row's per-shard answers are then
+        heap-merged by ``(score, global id)``.  A one-row group is the
+        per-query naive merge, and row ``i`` of a wider group is bitwise
+        that one-row merge of ``matrix[i]``.  A shard whose primary and
+        replica both fail drops out of *every* row's merge (all rows
+        flagged partial).
         """
         n_rows = matrix.shape[0]
         failed: list[int] = []
@@ -596,11 +374,9 @@ class ClusterEngine:
                     )
             return answers
 
-        if self._scatter_pool is not None:
-            gathered = list(self._scatter_pool.map(ask, self.shards))
-        else:
-            gathered = [ask(shard) for shard in self.shards]
-        per_shard = [answers for answers in gathered if answers is not None]
+        per_shard = [
+            answers for answers in map(ask, self.shards) if answers is not None
+        ]
         return [
             self._combine_answers(
                 [answers[row] for answers in per_shard], k, failed, recovered

@@ -231,18 +231,10 @@ class Shard:
     def topk(self, weights: np.ndarray, k: int, *, use_replica: bool = False) -> ShardAnswer:
         """Local top-``min(k, n)`` with ids mapped to the global space.
 
-        The engine's answer is ascending by ``(score, local id)``; because
-        ``global_ids`` is ascending, mapping preserves ascending
-        ``(score, global id)`` order.
+        The one-row call of :meth:`topk_batch`.
         """
-        engine = self._serving_engine(use_replica)
-        result = engine.query(weights, min(k, self.relation.n))
-        return ShardAnswer(
-            self.shard_id,
-            self.global_ids[result.ids],
-            result.scores,
-            result.counter,
-        )
+        row = np.asarray(weights, dtype=np.float64)[None, :]
+        return self.topk_batch(row, k, use_replica=use_replica)[0]
 
     def topk_batch(
         self, weights_matrix: np.ndarray, k: int, *, use_replica: bool = False
@@ -253,9 +245,10 @@ class Shard:
         ``query_batch`` — one kernel dispatch for the group (one native
         FFI crossing; the batch kernel, on hosts without it, in one
         lane-parallel traversal) — instead of one scatter-gather per row.
-        Row order (and every answer's ascending
-        ``(score, global id)`` order) matches per-row :meth:`topk` calls
-        bitwise.
+        Row ``i`` is bitwise the one-row answer for ``weights_matrix[i]``.
+        The engine's answers are ascending by ``(score, local id)``;
+        because ``global_ids`` is ascending, mapping preserves ascending
+        ``(score, global id)`` order.
         """
         engine = self._serving_engine(use_replica)
         results = engine.query_batch(weights_matrix, min(k, self.relation.n))

@@ -21,7 +21,8 @@ traffic the way a deployed system would:
   once per round for *all* rows of the group.  :meth:`query` is a one-row
   pass through the same path.  Batched answers are byte-identical to
   sequential :meth:`query` calls (every kernel's bitwise-identity
-  contract);
+  contract).  The loop itself lives in :class:`ServingLoop`, which the
+  cluster coordinator (:class:`~repro.cluster.ClusterEngine`) shares;
 * **concurrency** — :meth:`query_many` fans queries out over a thread pool.
   The frozen :class:`~repro.core.structure.LayerStructure` is read-only by
   contract and every query owns its
@@ -97,7 +98,244 @@ def validate_k(k) -> int:
     return value
 
 
-class QueryEngine:
+class ServingLoop:
+    """The one cached serving loop, shared by every serving engine.
+
+    :class:`QueryEngine` and :class:`~repro.cluster.ClusterEngine` serve
+    through it: the whole weight matrix is validated and normalized in
+    one pass, every cache key comes from one rounded matrix, cache hits
+    are answered, duplicates of an in-flight key are deferred until their
+    first occurrence is computed, the misses are grouped by effective k,
+    and each call is counted by one metrics record.  A subclass provides
+    ``d``/``n``/``version`` and three hooks:
+
+    * :meth:`_compute` — the answers for one k-group of cache misses;
+    * :meth:`_cached` — the result a cache hit returns;
+    * :meth:`_cacheable` — whether a computed answer may enter the cache.
+
+    ``_forward_raw`` picks the rows :meth:`_compute` receives: the
+    normalized rows, or the caller's raw rows for a subclass whose
+    backends normalize on their own.  Normalization is not bitwise
+    idempotent (``sum(w / s)`` is not always exactly 1.0), so rows that
+    are normalized again downstream must arrive raw or their scores
+    shift by an ulp.
+    """
+
+    _forward_raw = False
+
+    def __init__(
+        self, *, cache_size: int, quantize_decimals: int, latency_window: int
+    ) -> None:
+        self.cache = ResultCache(cache_size, decimals=quantize_decimals)
+        self.metrics = MetricsRegistry(latency_window=latency_window)
+        self._seen_version = self.version
+
+    def stats(self) -> dict:
+        """Registry metrics plus the cache's occupancy.
+
+        ``cache_hits``/``cache_misses`` are the registry's counts of rows
+        served from the cache and computed; only ``entries``,
+        ``capacity`` and ``evictions`` come from the cache itself.
+        """
+        snapshot = self.metrics.as_dict()
+        cache = self.cache.stats()
+        for key in ("entries", "capacity", "evictions"):
+            snapshot[f"cache_{key}"] = float(cache[key])
+        snapshot["throughput_qps"] = self.metrics.throughput()
+        return snapshot
+
+    def analytics(self):
+        """A dual-direction :class:`~repro.analytics.AnalyticsEngine` facade.
+
+        The facade serves reverse top-k / why-not / what-if through this
+        engine (on a cluster, why-not ranks compose from per-shard beater
+        counts); it snapshots placements per structure version, so the
+        same facade stays valid across maintenance.
+        """
+        from repro.analytics import AnalyticsEngine
+
+        return AnalyticsEngine(self)
+
+    # ------------------------------------------------------------------ #
+    # Serving paths
+    # ------------------------------------------------------------------ #
+
+    def query(self, weights: np.ndarray, k: int) -> TopKResult:
+        """Serve one top-k query through the cache.
+
+        A one-row pass through the :meth:`query_batch` path: same cache,
+        dispatch and metrics code, but counted as a solo query — it is
+        not a batched query and touches no batch counter.
+        """
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 1:
+            normalize_weights(w, self.d)  # raises: a query is one vector
+        raw = w[None, :]
+        normalized = normalize_rows(raw, self.d)
+        ks = np.array([validate_k(k)], dtype=np.int64)
+        return self._serve_rows(raw, normalized, ks, batched=False)[0]
+
+    def query_batch(self, weights_matrix: np.ndarray, k) -> list[TopKResult]:
+        """Serve one query per row of ``weights_matrix``, amortizing overhead.
+
+        ``k`` is a scalar applied to every row, or a sequence with one
+        retrieval size per row.  The whole matrix is validated and
+        normalized in one pass before any row is served, and the cache
+        keys come from one rounded matrix; repeated weight vectors are
+        computed once and answered from the cache.  The remaining cache
+        misses are grouped by effective k (k clamped to the relation size
+        — the unit the cache keys and the kernels share) and each group
+        is computed by one :meth:`_compute` call.  Metrics are recorded
+        once per call.  Results are byte-identical to issuing the queries
+        one at a time.
+        """
+        matrix = np.asarray(weights_matrix, dtype=np.float64)
+        if matrix.ndim == 1:
+            matrix = matrix[None, :]
+        if matrix.ndim != 2:
+            raise InvalidWeightError(
+                f"weight matrix must be 2-D, got shape {matrix.shape}"
+            )
+        n_rows = matrix.shape[0]
+        # Validate k *before* any integer conversion: casting to int64 up
+        # front would truncate a non-integral k (2.5 -> 2) and silently
+        # serve the wrong retrieval size instead of raising.
+        ks_input = np.asarray(k)
+        if ks_input.ndim == 0:
+            ks = np.full(n_rows, validate_k(ks_input[()]), dtype=np.int64)
+        elif ks_input.shape != (n_rows,):
+            raise InvalidQueryError(
+                f"per-row k must have one entry per weight row: "
+                f"got {ks_input.shape} for {n_rows} rows"
+            )
+        else:
+            ks = np.asarray(
+                [validate_k(value) for value in ks_input], dtype=np.int64
+            )
+        if not n_rows:
+            return []
+        # Fail fast: every row is validated/normalized before any query runs.
+        normalized = normalize_rows(matrix, self.d)
+        return self._serve_rows(matrix, normalized, ks, batched=True)
+
+    def query_many(
+        self,
+        queries,
+        *,
+        max_workers: int | None = None,
+    ) -> list[TopKResult]:
+        """Serve ``(weights, k)`` pairs concurrently on a thread pool.
+
+        Safe because the frozen structures are read-only and all per-query
+        traversal state is private; results are returned in input order.
+        Every pair is validated *before* the pool spawns, so one malformed
+        row raises immediately instead of surfacing as a late future
+        exception after sibling queries already ran.  The raw weights are
+        submitted (not the validation pass's normalized copies) so
+        :meth:`query` normalizes exactly once, keeping answers bitwise
+        identical to the sequential path.
+        """
+        items = list(queries)
+        if not items:
+            return []
+        d = self.d
+        validated = []
+        for weights, k in items:
+            normalize_weights(weights, d)
+            validated.append((weights, validate_k(k)))
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            futures = [pool.submit(self.query, w, k) for w, k in validated]
+            return [future.result() for future in futures]
+
+    # ------------------------------------------------------------------ #
+    # The loop and its hooks
+    # ------------------------------------------------------------------ #
+
+    def _serve_rows(
+        self, raw: np.ndarray, weights: np.ndarray, ks: np.ndarray, *, batched: bool
+    ) -> list[TopKResult]:
+        """The cached serving path: ``weights`` is the normalized ``(B, d)``
+        form of ``raw`` and ``ks`` its validated per-row retrieval sizes."""
+        n_rows = weights.shape[0]
+        source = raw if self._forward_raw else weights
+        with self.metrics.track_rows(n_rows, batched=batched) as record:
+            version = self.version
+            if version != self._seen_version:
+                # A mutation/rebuild happened since we last looked:
+                # old-version entries are unreachable by key; free them.
+                self.cache.prune(version)
+                self._seen_version = version
+            effective = np.minimum(ks, self.n)
+            keys = self.cache.make_keys(weights, effective, version)
+            cache_enabled = self.cache.capacity > 0
+            results: list[TopKResult | None] = [None] * n_rows
+            # First pass: answer cache hits, defer duplicates of an
+            # in-flight key (the first occurrence pays, the duplicate hits
+            # once its group is computed), and group the rest by k.
+            pending: set = set()
+            groups: dict[int, list[int]] = {}
+            deferred: list[int] = []
+            for row, key in enumerate(keys):
+                if cache_enabled and key in pending:
+                    deferred.append(row)
+                    continue
+                cached = self.cache.get(key)
+                if cached is not None:
+                    record.hits += 1
+                    results[row] = self._cached(*cached)
+                    continue
+                pending.add(key)
+                groups.setdefault(key[1], []).append(row)
+
+            def settle(rows, outputs) -> None:
+                for row, result in zip(rows, outputs):
+                    if self._cacheable(result):
+                        self.cache.put(keys[row], result.ids, result.scores)
+                    counter = result.counter
+                    cost = counter.real + counter.pseudo
+                    record.cost += cost
+                    if cost > record.max_cost:
+                        record.max_cost = cost
+                    results[row] = result
+
+            for effective_k, rows in groups.items():
+                start = time.perf_counter()
+                lanes = source if len(rows) == n_rows else source[rows]
+                outputs = self._compute(lanes, effective_k)
+                if batched:
+                    self.metrics.record_batch(
+                        len(rows), time.perf_counter() - start
+                    )
+                settle(rows, outputs)
+            # Duplicates of computed rows: now cache hits (unless a tiny
+            # cache already evicted the entry, or the first answer was not
+            # cacheable, in which case compute singly — exactly what the
+            # sequential loop would have done).
+            for row in deferred:
+                cached = self.cache.get(keys[row])
+                if cached is not None:
+                    record.hits += 1
+                    results[row] = self._cached(*cached)
+                else:
+                    settle(
+                        [row], self._compute(source[row : row + 1], keys[row][1])
+                    )
+        return results
+
+    def _compute(self, lanes: np.ndarray, k: int) -> list[TopKResult]:
+        """Answer every row of ``lanes`` (cache misses) at one effective k."""
+        raise NotImplementedError
+
+    def _cached(self, ids: np.ndarray, scores: np.ndarray) -> TopKResult:
+        """The result a cache hit returns: the stored answer at zero cost."""
+        return TopKResult(ids=ids, scores=scores, counter=AccessCounter())
+
+    def _cacheable(self, result: TopKResult) -> bool:
+        """Whether a computed answer may enter the cache."""
+        return True
+
+
+class QueryEngine(ServingLoop):
     """Serve top-k queries against one index with caching and batching.
 
     Parameters
@@ -189,9 +427,11 @@ class QueryEngine:
         # heap scratch, pinned cffi pointers — see NativeWorkspace);
         # cheap to hold even when the native kernel never loads.
         self._native_workspace = NativeWorkspace()
-        self.cache = ResultCache(cache_size, decimals=quantize_decimals)
-        self.metrics = MetricsRegistry(latency_window=latency_window)
-        self._seen_version = self.version
+        super().__init__(
+            cache_size=cache_size,
+            quantize_decimals=quantize_decimals,
+            latency_window=latency_window,
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -215,11 +455,8 @@ class QueryEngine:
         return relation.n if relation is not None else self.index.n
 
     def stats(self) -> dict[str, float]:
-        """Merged metrics + cache snapshot."""
-        snapshot = self.metrics.as_dict()
-        for key, value in self.cache.stats().items():
-            snapshot[f"cache_{key}"] = float(value)
-        snapshot["throughput_qps"] = self.metrics.throughput()
+        """:meth:`ServingLoop.stats` plus workspace and native-build keys."""
+        snapshot = super().stats()
         snapshot["workspace_checkouts"] = float(self._solo_workspace.checkouts)
         snapshot["workspace_fallbacks"] = float(self._solo_workspace.fallbacks)
         snapshot["native_workspace_checkouts"] = float(
@@ -237,195 +474,15 @@ class QueryEngine:
         snapshot["native_fallback"] = float(status not in ("built", "cached"))
         return snapshot
 
-    def analytics(self):
-        """A dual-direction :class:`~repro.analytics.AnalyticsEngine` facade.
-
-        The facade serves reverse top-k / why-not / what-if through this
-        engine's kernels and cache; it snapshots placements per structure
-        version, so the same facade stays valid across maintenance.
-        """
-        from repro.analytics import AnalyticsEngine
-
-        return AnalyticsEngine(self)
-
-    # ------------------------------------------------------------------ #
-    # Serving paths
-    # ------------------------------------------------------------------ #
-
-    def query(self, weights: np.ndarray, k: int) -> TopKResult:
-        """Serve one top-k query through the cache.
-
-        A one-row pass through the :meth:`query_batch` path: same cache,
-        dispatch and metrics code, but counted as a solo query — it is
-        not a batched query and touches no batch counter.
-        """
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1:
-            normalize_weights(w, self.d)  # raises: a query is one vector
-        matrix = normalize_rows(w[None, :], self.d)
-        ks = np.array([validate_k(k)], dtype=np.int64)
-        return self._serve_rows(matrix, ks, batched=False)[0]
-
-    def query_batch(self, weights_matrix: np.ndarray, k) -> list[TopKResult]:
-        """Serve one query per row of ``weights_matrix``, amortizing overhead.
-
-        ``k`` is a scalar applied to every row, or a sequence with one
-        retrieval size per row.  The whole matrix is validated and
-        normalized in one pass before any row is served, and the cache
-        keys come from one rounded matrix; repeated weight vectors are
-        computed once and answered from the cache.  The remaining cache
-        misses are grouped by effective k (k clamped to the relation size
-        — the unit the cache keys and the kernels share) and the kernel is
-        dispatched once per group.  A native group crosses into the
-        compiled walker once, which walks its lanes one after another; a
-        batch group (compiler-less hosts) runs one lane-parallel
-        :func:`~repro.core.query.process_top_k_batch` call, walking the
-        gate graph once per round for the whole group.  Metrics are
-        recorded once per call.  Results are byte-identical to issuing
-        the queries one at a time.
-        """
-        matrix = np.asarray(weights_matrix, dtype=np.float64)
-        if matrix.ndim == 1:
-            matrix = matrix[None, :]
-        if matrix.ndim != 2:
-            raise InvalidWeightError(
-                f"weight matrix must be 2-D, got shape {matrix.shape}"
-            )
-        n_rows = matrix.shape[0]
-        # Validate k *before* any integer conversion: casting to int64 up
-        # front would truncate a non-integral k (2.5 -> 2) and silently
-        # serve the wrong retrieval size instead of raising.
-        ks_input = np.asarray(k)
-        if ks_input.ndim == 0:
-            ks = np.full(n_rows, validate_k(ks_input[()]), dtype=np.int64)
-        elif ks_input.shape != (n_rows,):
-            raise InvalidQueryError(
-                f"per-row k must have one entry per weight row: "
-                f"got {ks_input.shape} for {n_rows} rows"
-            )
-        else:
-            ks = np.asarray(
-                [validate_k(value) for value in ks_input], dtype=np.int64
-            )
-        if not n_rows:
-            return []
-        # Fail fast: every row is validated/normalized before any query runs.
-        normalized = normalize_rows(matrix, self.d)
-        return self._serve_rows(normalized, ks, batched=True)
-
-    def query_many(
-        self,
-        queries,
-        *,
-        max_workers: int | None = None,
-    ) -> list[TopKResult]:
-        """Serve ``(weights, k)`` pairs concurrently on a thread pool.
-
-        Safe because the frozen structure is read-only and all per-query
-        traversal state is private; results are returned in input order.
-        Every pair is validated *before* the pool spawns, so one malformed
-        row raises immediately instead of surfacing as a late future
-        exception after sibling queries already ran.  The raw weights are
-        submitted (not the validation pass's normalized copies) so
-        :meth:`query` normalizes exactly once, keeping answers bitwise
-        identical to the sequential path.
-        """
-        items = list(queries)
-        if not items:
-            return []
-        d = self.d
-        validated = []
-        for weights, k in items:
-            normalize_weights(weights, d)
-            validated.append((weights, validate_k(k)))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(self.query, w, k) for w, k in validated]
-            return [future.result() for future in futures]
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _serve_rows(
-        self, weights: np.ndarray, ks: np.ndarray, *, batched: bool
-    ) -> list[TopKResult]:
-        """The cached serving path: ``weights`` is a normalized ``(B, d)``
-        matrix and ``ks`` its validated per-row retrieval sizes."""
-        n_rows = weights.shape[0]
-        with self.metrics.track_rows(n_rows, batched=batched) as record:
-            version = self.version
-            if version != self._seen_version:
-                # A mutation/rebuild happened since we last looked:
-                # old-version entries are unreachable by key; free them.
-                self.cache.prune(version)
-                self._seen_version = version
-            effective = np.minimum(ks, self.n)
-            keys = self.cache.make_keys(weights, effective, version)
-            cache_enabled = self.cache.capacity > 0
-            results: list[TopKResult | None] = [None] * n_rows
-            # First pass: answer cache hits, defer duplicates of an
-            # in-flight key (the first occurrence pays, the duplicate hits
-            # once its group is computed), and group the rest by k.
-            pending: set = set()
-            groups: dict[int, list[int]] = {}
-            deferred: list[int] = []
-            for row, key in enumerate(keys):
-                if cache_enabled and key in pending:
-                    deferred.append(row)
-                    continue
-                cached = self.cache.get(key)
-                if cached is not None:
-                    record.hits += 1
-                    results[row] = TopKResult(
-                        ids=cached[0], scores=cached[1], counter=AccessCounter()
-                    )
-                    continue
-                pending.add(key)
-                groups.setdefault(key[1], []).append(row)
-
-            def settle(rows, outputs) -> None:
-                for row, (ids, scores, counter) in zip(rows, outputs):
-                    self.cache.put(keys[row], ids, scores)
-                    cost = counter.real + counter.pseudo
-                    record.cost += cost
-                    if cost > record.max_cost:
-                        record.max_cost = cost
-                    results[row] = TopKResult(
-                        ids=ids, scores=scores, counter=counter
-                    )
-
-            for effective_k, rows in groups.items():
-                start = time.perf_counter()
-                lanes = weights if len(rows) == n_rows else weights[rows]
-                outputs = self._compute(lanes, effective_k)
-                if batched:
-                    self.metrics.record_batch(
-                        len(rows), time.perf_counter() - start
-                    )
-                settle(rows, outputs)
-            # Duplicates of computed rows: now cache hits (unless a tiny
-            # cache already evicted the entry, in which case compute singly
-            # — exactly what the sequential loop would have done).
-            for row in deferred:
-                cached = self.cache.get(keys[row])
-                if cached is not None:
-                    record.hits += 1
-                    results[row] = TopKResult(
-                        ids=cached[0], scores=cached[1], counter=AccessCounter()
-                    )
-                else:
-                    settle(
-                        [row], self._compute(weights[row : row + 1], keys[row][1])
-                    )
-        return results
-
-    def _compute(
-        self, lanes: np.ndarray, k: int
-    ) -> list[tuple[np.ndarray, np.ndarray, AccessCounter]]:
+    def _compute(self, lanes: np.ndarray, k: int) -> list[TopKResult]:
         """Run uncached queries (rows of ``lanes``) at one effective ``k``.
 
         Resolves the kernel once for the group and records its per-lane
-        dispatch counter once.  Returns ``(ids, scores, counter)`` per row.
+        dispatch counter once.
         """
         width = lanes.shape[0]
         structure = getattr(self.index, "structure", None)
@@ -439,7 +496,9 @@ class QueryEngine:
                 answer = self.index.query(w, k, counter=counter)
                 if isinstance(answer, TopKResult):
                     answer = (answer.ids, answer.scores)
-                outputs.append((answer[0], answer[1], counter))
+                outputs.append(
+                    TopKResult(ids=answer[0], scores=answer[1], counter=counter)
+                )
             return outputs
         # Gated layer index: traverse the frozen structure directly with
         # the resolved kernel (skips re-validation; bitwise the same
@@ -480,7 +539,11 @@ class QueryEngine:
                 counter = counters[lane]
                 counter.real = real
                 counter.pseudo = pseudo
-                outputs.append((ids[lane, :n], scores[lane, :n], counter))
+                outputs.append(
+                    TopKResult(
+                        ids=ids[lane, :n], scores=scores[lane, :n], counter=counter
+                    )
+                )
             return outputs
         self.metrics.record_kernel(kernel, width)
         if kernel == "batch":
@@ -510,7 +573,7 @@ class QueryEngine:
                 for w, counter in zip(lanes, counters)
             ]
         return [
-            (ids, scores, counter)
+            TopKResult(ids=ids, scores=scores, counter=counter)
             for (ids, scores), counter in zip(outputs, counters)
         ]
 

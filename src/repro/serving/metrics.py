@@ -1,15 +1,17 @@
 """Serving metrics: latency, Definition 9 cost, cache hits, queue depth.
 
-A thread-safe registry shared by every query path of the
-:class:`~repro.serving.engine.QueryEngine`.  Each engine call is tracked
-through the :meth:`MetricsRegistry.track_rows` context manager (one
-registry update per call, however many rows it serves), which measures
-wall-clock latency and maintains the in-flight queue-depth gauge; the
-engine fills in the cost and cache outcome on the returned
-:class:`QueryRecord`.  Callers that serve one query at a time (the cluster
-coordinator) use :meth:`MetricsRegistry.track`, the one-row form.
-:meth:`as_dict` exports a flat snapshot for reporting (the ``serve-bench``
-CLI renders it).
+A thread-safe registry per serving engine.  Every call of the shared
+serving loop (:class:`~repro.serving.engine.ServingLoop`, behind both
+:class:`~repro.serving.engine.QueryEngine` and
+:class:`~repro.cluster.ClusterEngine`) is tracked through the
+:meth:`MetricsRegistry.track_rows` context manager — one registry update
+per call, however many rows it serves — which measures wall-clock
+latency and maintains the in-flight queue-depth gauge; the loop fills in
+the cost and cache hits on the returned :class:`QueryRecord`.  Work done
+outside such a call (a shard's share of a cluster merge, a gateway
+request's end-to-end latency) is folded in by
+:meth:`MetricsRegistry.record_external`.  :meth:`as_dict` exports a flat
+snapshot for reporting (the ``serve-bench`` CLI renders it).
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from repro.stats import LatencyWindow
 class QueryRecord:
     """Context manager tracking one call that serves ``rows`` queries.
 
-    Returned by :meth:`MetricsRegistry.track_rows` (and by
-    :meth:`MetricsRegistry.track`, a one-row call); the caller fills in
-    the cost and cache outcome while serving, and the registry folds the
+    Returned by :meth:`MetricsRegistry.track_rows`; the caller fills in
+    the cost and cache hits while serving, and the registry folds the
     record in on exit under one lock.
     """
 
@@ -58,15 +59,6 @@ class QueryRecord:
         #: (only the gateway sets this — offline paths have no SLO).
         self.slo_violated = False
         self._start = 0.0
-
-    @property
-    def hit(self) -> bool:
-        """True when every row came from the result cache."""
-        return self.hits == self.rows
-
-    @hit.setter
-    def hit(self, value: bool) -> None:
-        self.hits = self.rows if value else 0
 
     def __enter__(self) -> "QueryRecord":
         registry = self._registry
@@ -109,9 +101,9 @@ class MetricsRegistry:
     :class:`QueryRecord`'s enter/exit, :meth:`record_external`,
     :meth:`reset` — runs under the registry's single lock, covering the
     counters *and* the latency window together, so concurrent writers
-    (the serving engine's thread pool, the cluster coordinator driving
-    one registry per shard from its scatter threads) can never lose an
-    update or tear a counter/latency pair.  :meth:`as_dict` snapshots under the same lock.
+    (the ``query_many`` thread pool, the gateway's executor) can never
+    lose an update or tear a counter/latency pair.  :meth:`as_dict`
+    snapshots under the same lock.
     """
 
     def __init__(self, *, latency_window: int = 4096) -> None:
@@ -147,11 +139,7 @@ class MetricsRegistry:
         #: buys over the per-query latency window above.
         self._batch_amortized = LatencyWindow(latency_window)
 
-    def track(self) -> QueryRecord:
-        """Track one query: latency, queue depth, and the caller's record."""
-        return QueryRecord(self)
-
-    def track_rows(self, rows: int, *, batched: bool) -> QueryRecord:
+    def track_rows(self, rows: int, *, batched: bool = False) -> QueryRecord:
         """Track one call serving ``rows`` queries: a single registry update.
 
         The engine's serving path answers a whole weight matrix per call
@@ -176,12 +164,12 @@ class MetricsRegistry:
         batched: bool = False,
         slo_violated: bool = False,
     ) -> None:
-        """Fold in one query served outside :meth:`track`.
+        """Fold in one query served outside :meth:`track_rows`.
 
         The cluster coordinator's threshold merge drives shard cursors
         directly (round-robin, interleaved across shards), so a shard's
         share of the work has no contiguous wall-clock span to wrap in
-        :meth:`track`; the gateway likewise records each query's
+        :meth:`track_rows`; the gateway likewise records each query's
         end-to-end latency and SLO outcome after its flush.  This records
         one served query's cost (and optionally its latency), under the
         same single lock.

@@ -28,15 +28,22 @@ def single_node(relation):
 def test_cluster_matches_single_node_bitwise(distribution, d, shards, partitioner):
     relation = generate(distribution, 180, d, seed=37)
     reference = single_node(relation)
-    cluster = ClusterEngine(
-        relation, shards=shards, partitioner=partitioner, cache_size=0
+    naive_cluster, threshold_cluster = (
+        ClusterEngine(
+            relation,
+            shards=shards,
+            partitioner=partitioner,
+            cache_size=0,
+            merge=merge,
+        )
+        for merge in ("naive", "threshold")
     )
     rng = np.random.default_rng(91)
     for k in (1, 5, 23):
         w = random_weight_vector(d, rng)
         ref = reference.query(w, k)
-        naive = cluster.query(w, k, merge="naive")
-        threshold = cluster.query(w, k, merge="threshold")
+        naive = naive_cluster.query(w, k)
+        threshold = threshold_cluster.query(w, k)
         for got in (naive, threshold):
             np.testing.assert_array_equal(got.ids, ref.ids)
             assert got.scores.tobytes() == ref.scores.tobytes()
@@ -57,7 +64,7 @@ def test_single_shard_threshold_cost_equals_single_node():
     for _ in range(5):
         w = random_weight_vector(3, rng)
         ref = reference.query(w, 10)
-        got = cluster.query(w, 10, merge="threshold")
+        got = cluster.query(w, 10)
         np.testing.assert_array_equal(got.ids, ref.ids)
         assert got.cost == ref.cost
 
@@ -76,8 +83,6 @@ def test_invalid_queries_raise():
     cluster = ClusterEngine(relation, shards=2)
     with pytest.raises(InvalidQueryError):
         cluster.query(np.array([0.5, 0.5]), 0)
-    with pytest.raises(InvalidQueryError):
-        cluster.query(np.array([0.5, 0.5]), 5, merge="zipper")
     with pytest.raises(InvalidQueryError):
         ClusterEngine(relation, shards=2, merge="zipper")
 
@@ -123,16 +128,34 @@ def test_query_batch_and_many_match_query():
     assert cluster.query_many([]) == []
 
 
-def test_scatter_workers_naive_merge_matches_sequential():
-    relation = generate("IND", 160, 3, seed=41)
-    sequential = ClusterEngine(relation, shards=4, cache_size=0)
-    scattered = ClusterEngine(relation, shards=4, cache_size=0, scatter_workers=4)
-    w = np.array([0.25, 0.4, 0.35])
-    a = sequential.query(w, 12, merge="naive")
-    b = scattered.query(w, 12, merge="naive")
-    np.testing.assert_array_equal(a.ids, b.ids)
-    assert a.scores.tobytes() == b.scores.tobytes()
-    assert a.cost == b.cost
+@pytest.mark.parametrize("merge", ["naive", "threshold"])
+def test_query_batch_per_row_k_bitwise_equals_query(merge):
+    """Per-row k through the shared loop: rows are grouped by effective k
+    (k beyond n clamps into the n group), a repeated (w, k) is answered
+    from the cache, and every computed row equals its own ``query`` —
+    ids, score bytes, cost and per-shard costs."""
+    relation = generate("ANT", 150, 3, seed=29)
+    single = ClusterEngine(relation, shards=3, cache_size=0, merge=merge)
+    batched = ClusterEngine(relation, shards=3, cache_size=32, merge=merge)
+    rng = np.random.default_rng(29)
+    weights = np.vstack([random_weight_vector(3, rng) for _ in range(8)])
+    weights[6] = weights[1]  # same row, same k: a cache hit
+    weights[7] = weights[2]  # same row, other k: computed
+    ks = [1, 5, 23, 150, 400, 9, 5, 9]
+    results = batched.query_batch(weights, ks)
+    for row, (w, k, got) in enumerate(zip(weights, ks, results)):
+        ref = single.query(w, k)
+        np.testing.assert_array_equal(got.ids, ref.ids)
+        assert got.scores.tobytes() == ref.scores.tobytes()
+        if row == 6:
+            assert got.merge == "cache" and got.cost == 0
+            continue
+        assert got.merge == merge
+        assert got.cost == ref.cost
+        assert got.shard_costs == ref.shard_costs
+    # Five k-groups (1, 5, 9, 23 and the clamped 150), one batch each.
+    assert batched.metrics.batches == 5
+    assert batched.metrics.cache_hits == 1
 
 
 def test_query_batch_wide_group_bitwise_and_records_batches():
@@ -141,12 +164,12 @@ def test_query_batch_wide_group_bitwise_and_records_batches():
     path bitwise, and both coordinator and shard registries must record
     the batched execution."""
     relation = generate("IND", 200, 3, seed=47)
-    reference = ClusterEngine(relation, shards=3, cache_size=0)
-    batched = ClusterEngine(relation, shards=3, cache_size=0)
+    reference = ClusterEngine(relation, shards=3, cache_size=0, merge="naive")
+    batched = ClusterEngine(relation, shards=3, cache_size=0, merge="naive")
     rng = np.random.default_rng(47)
     weights = np.vstack([random_weight_vector(3, rng) for _ in range(16)])
-    singles = [reference.query(w, 7, merge="naive") for w in weights]
-    results = batched.query_batch(weights, 7, merge="naive")
+    singles = [reference.query(w, 7) for w in weights]
+    results = batched.query_batch(weights, 7)
     for ref, got in zip(singles, results):
         np.testing.assert_array_equal(got.ids, ref.ids)
         assert got.scores.tobytes() == ref.scores.tobytes()
@@ -229,10 +252,12 @@ def test_cluster_kernel_knob_propagates_to_shards():
 def test_failed_shard_with_replica_serves_exact_answer(merge):
     relation = generate("IND", 160, 3, seed=53)
     reference = single_node(relation)
-    cluster = ClusterEngine(relation, shards=2, replicate=True, cache_size=0)
+    cluster = ClusterEngine(
+        relation, shards=2, replicate=True, cache_size=0, merge=merge
+    )
     cluster.shards[0] = FailingShard(cluster.shards[0], failed=True)
     w = np.array([0.3, 0.3, 0.4])
-    got = cluster.query(w, 10, merge=merge)
+    got = cluster.query(w, 10)
     ref = reference.query(w, 10)
     np.testing.assert_array_equal(got.ids, ref.ids)
     assert got.scores.tobytes() == ref.scores.tobytes()
@@ -244,11 +269,11 @@ def test_failed_shard_with_replica_serves_exact_answer(merge):
 @pytest.mark.parametrize("merge", ["naive", "threshold"])
 def test_failed_shard_without_replica_degrades_to_partial(merge):
     relation = generate("IND", 160, 3, seed=53)
-    cluster = ClusterEngine(relation, shards=2, cache_size=4)
+    cluster = ClusterEngine(relation, shards=2, cache_size=4, merge=merge)
     dead = FailingShard(cluster.shards[1], failed=True)
     cluster.shards[1] = dead
     w = np.array([0.3, 0.3, 0.4])
-    got = cluster.query(w, 10, merge=merge)
+    got = cluster.query(w, 10)
     assert got.partial
     assert got.failed_shards == (1,)
     # The surviving shard still answers its own slice, in order.
@@ -258,7 +283,7 @@ def test_failed_shard_without_replica_degrades_to_partial(merge):
     # Partial answers are never cached: restoring the shard un-degrades
     # the very same query.
     dead.restore()
-    healed = cluster.query(w, 10, merge=merge)
+    healed = cluster.query(w, 10)
     assert not healed.partial
     ref = single_node(relation).query(w, 10)
     np.testing.assert_array_equal(healed.ids, ref.ids)
@@ -321,7 +346,8 @@ def test_stats_aggregates_per_shard_metrics():
     relation = generate("IND", 120, 3, seed=71)
     cluster = ClusterEngine(relation, shards=2, cache_size=0)
     for merge in ("naive", "threshold"):
-        cluster.query(np.array([0.4, 0.3, 0.3]), 5, merge=merge)
+        cluster.merge = merge
+        cluster.query(np.array([0.4, 0.3, 0.3]), 5)
     stats = cluster.stats()
     assert stats["queries"] == 2.0
     assert stats["num_shards"] == 2.0

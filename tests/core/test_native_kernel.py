@@ -45,6 +45,11 @@ from repro.core.native import kernel as native_kernel_mod  # noqa: E402
 requires_native = pytest.mark.skipif(
     not native_ready(), reason="native kernel not buildable on this host"
 )
+# A test that compiles afresh needs a compiler it can invoke; a loadable
+# cached library is not enough.
+requires_compiler = pytest.mark.skipif(
+    native_build.find_compiler() is None, reason="no C compiler on this host"
+)
 
 
 def _weights(d: int, seed: int) -> np.ndarray:
@@ -387,7 +392,7 @@ def test_build_failure_fallback(broken_native_build):
     assert "simulated compile explosion" in native_kernel_mod.build_info()["detail"]
 
 
-@requires_native
+@requires_compiler
 def test_version_bump_invalidates_cached_library(monkeypatch, tmp_path):
     """The cache key embeds NATIVE_KERNEL_VERSION: bumping it must land
     in a fresh directory and recompile rather than reuse the stale .so."""

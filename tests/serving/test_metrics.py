@@ -10,10 +10,10 @@ from repro.stats import LatencyWindow, percentile
 
 def test_track_records_hits_misses_and_cost():
     registry = MetricsRegistry()
-    with registry.track() as record:
+    with registry.track_rows(1) as record:
         record.cost = 40
-    with registry.track() as record:
-        record.hit = True
+    with registry.track_rows(1) as record:
+        record.hits = 1
         record.cost = 0
     assert registry.queries == 2
     assert registry.cache_hits == 1 and registry.cache_misses == 1
@@ -24,8 +24,8 @@ def test_track_records_hits_misses_and_cost():
 
 def test_queue_depth_gauge():
     registry = MetricsRegistry()
-    with registry.track():
-        with registry.track():
+    with registry.track_rows(1):
+        with registry.track_rows(1):
             assert registry.queue_depth == 2
     assert registry.queue_depth == 0
     assert registry.max_queue_depth == 2
@@ -33,7 +33,7 @@ def test_queue_depth_gauge():
 
 def test_as_dict_exposes_all_series():
     registry = MetricsRegistry()
-    with registry.track() as record:
+    with registry.track_rows(1) as record:
         record.cost = 10
         record.batched = True
     snapshot = registry.as_dict()
@@ -60,7 +60,7 @@ def test_as_dict_exposes_all_series():
 def test_failed_query_still_tracked():
     registry = MetricsRegistry()
     with pytest.raises(RuntimeError):
-        with registry.track():
+        with registry.track_rows(1):
             raise RuntimeError("query blew up")
     assert registry.queries == 1
     assert registry.queue_depth == 0
@@ -68,7 +68,7 @@ def test_failed_query_still_tracked():
 
 def test_reset():
     registry = MetricsRegistry()
-    with registry.track() as record:
+    with registry.track_rows(1) as record:
         record.cost = 5
     registry.reset()
     assert registry.queries == 0
@@ -76,17 +76,17 @@ def test_reset():
 
 
 def test_concurrent_track_loses_no_updates():
-    """Hammering track() from many threads must account for every query —
-    the single-lock contract: counters and the latency window move together
+    """Hammering track_rows(1) from many threads must account for every
+    query — the single-lock contract: counters and the latency window move together
     and no increment is ever torn or dropped."""
     registry = MetricsRegistry()
     per_thread, threads = 200, 8
 
     def worker(thread_id: int) -> None:
         for i in range(per_thread):
-            with registry.track() as record:
+            with registry.track_rows(1) as record:
                 record.cost = 3
-                record.hit = (i % 2) == 0
+                record.hits = int(i % 2 == 0)
                 record.batched = (thread_id % 2) == 0
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -137,11 +137,11 @@ def test_record_external_folds_in_one_query():
 
 def test_aggregate_pools_registries():
     a, b = MetricsRegistry(), MetricsRegistry()
-    with a.track() as record:
+    with a.track_rows(1) as record:
         record.cost = 10
-    with b.track() as record:
+    with b.track_rows(1) as record:
         record.cost = 30
-        record.hit = True
+        record.hits = 1
     rollup = MetricsRegistry.aggregate([a, b])
     assert rollup["queries"] == 2.0
     assert rollup["cache_hits"] == 1.0
@@ -161,7 +161,7 @@ def test_slo_violations_counted_and_reset():
     registry = MetricsRegistry()
     registry.record_external(cost=5, seconds=0.002, slo_violated=True)
     registry.record_external(cost=5, seconds=0.001)
-    with registry.track() as record:
+    with registry.track_rows(1) as record:
         record.cost = 3
         record.slo_violated = True
     assert registry.slo_violations == 2
