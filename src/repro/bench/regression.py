@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 
 from repro.bench.analyticsbench import validate_analytics_report
-from repro.bench.servegate import validate_serve_report
 from repro.bench.snapshotbench import validate_snapshot_report
 from repro.bench.wallclock import validate_query_report
 
@@ -38,7 +37,6 @@ __all__ = [
     "check_analytics_regression",
     "check_query_regression",
     "check_regression",
-    "check_serve_regression",
     "check_snapshot_regression",
     "load_report",
 ]
@@ -47,7 +45,6 @@ __all__ = [
 #: predating the ``suite`` key are wall-clock query reports).
 _VALIDATORS = {
     "wallclock": validate_query_report,
-    "serve": validate_serve_report,
     "snapshot": validate_snapshot_report,
     "analytics": validate_analytics_report,
 }
@@ -219,71 +216,6 @@ def check_query_regression(
         failures.extend(_check_invariants(fresh, tolerance))
     else:
         failures.extend(f for f in matched_failures if f != "__no_overlap__")
-    return failures
-
-
-def _serve_workload_key(report: dict) -> tuple:
-    gateway = report["gateway"]
-    return (
-        report["distribution"],
-        report["d"],
-        report["n"],
-        report["k"],
-        gateway["max_batch"],
-        gateway["flush_window_ms"],
-    )
-
-
-def _check_serve_invariants(fresh: dict) -> list[str]:
-    """Scale-free checks on a fresh serve report alone.
-
-    The one property that holds at any scale on any machine: at the
-    highest (saturating) arrival rate, the coalescer must actually fill
-    batch lanes — occupancy stuck at 1.0 means every "batch" held a
-    single query and the gateway degenerated into sequential dispatch.
-    """
-    failures: list[str] = []
-    top = max(fresh["open_loop"], key=lambda entry: entry["arrival_rate"])
-    if top["batch_occupancy"] <= 1.0:
-        failures.append(
-            f"open loop @{top['arrival_rate']:.0f}/s: batch occupancy "
-            f"{top['batch_occupancy']:.2f} <= 1 — the coalescer never "
-            "filled a batch lane at the saturating rate"
-        )
-    return failures
-
-
-def check_serve_regression(
-    fresh: dict, baseline: dict, *, tolerance: float = 0.25
-) -> list[str]:
-    """Compare a fresh serve-gateway report against a committed baseline.
-
-    Always enforced: both reports schema-valid and the fresh report
-    carries the bitwise cross-check marker (the load generator verifies
-    every coalesced answer against ``engine.query``).  When the two
-    reports measured the same workload and gateway shape, closed-loop
-    capacity is compared within ``tolerance``; otherwise (the CI smoke
-    runs tiny workloads at auto-derived rates — absolute throughput on a
-    shared runner would gate on noise) the fresh report's within-run
-    invariants are checked instead.
-    """
-    validate_serve_report(fresh)
-    validate_serve_report(baseline)
-    failures: list[str] = []
-    if fresh.get("crosscheck") != "bitwise":
-        failures.append(
-            "fresh serve report lacks the 'crosscheck: bitwise' marker — "
-            "it was produced without per-answer oracle verification"
-        )
-    if _serve_workload_key(fresh) == _serve_workload_key(baseline):
-        floor = baseline["closed_loop"]["qps"] / (1.0 + tolerance)
-        if fresh["closed_loop"]["qps"] < floor:
-            failures.append(
-                f"closed-loop capacity {fresh['closed_loop']['qps']:.0f} "
-                f"q/s < baseline {baseline['closed_loop']['qps']:.0f} "
-                f"-{tolerance:.0%}"
-            )
-    failures.extend(_check_serve_invariants(fresh))
     return failures
 
 
@@ -460,9 +392,9 @@ def check_regression(
 ) -> list[str]:
     """Dispatch to the right gate for the fresh report's suite.
 
-    A fresh serve report must be gated against a serve baseline (and a
-    query report against a query baseline) — comparing across suites is
-    reported as a failure rather than silently passing.
+    A fresh report must be gated against a baseline of its own suite —
+    comparing across suites is reported as a failure rather than
+    silently passing.
     """
     fresh_suite = fresh.get("suite", "wallclock")
     baseline_suite = baseline.get("suite", "wallclock")
@@ -472,8 +404,6 @@ def check_regression(
             f"is {baseline_suite!r} — point bench-check at the matching "
             "committed baseline"
         ]
-    if fresh_suite == "serve":
-        return check_serve_regression(fresh, baseline, tolerance=tolerance)
     if fresh_suite == "snapshot":
         return check_snapshot_regression(fresh, baseline, tolerance=tolerance)
     if fresh_suite == "analytics":

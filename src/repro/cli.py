@@ -10,8 +10,6 @@ Examples::
     repro-topk sql --data data.npz "SELECT * FROM r ORDER BY a0 + a1 STOP AFTER 5"
     repro-topk bench --experiment fig10
     repro-topk compare --distribution ANT --n 5000 --d 4 --k 10
-    repro-topk serve-bench --n 20000 --queries 256 --distinct 16
-    repro-topk serve-bench --arrival-rate auto --out BENCH_serve.json
     repro-topk perf-bench --sizes 10000,100000 --out BENCH_query.json
     repro-topk build-bench --sizes 100000 --parallel 4 --out BENCH_build.json
     repro-topk cluster-bench --n 20000 --shards 2,4,8 --out BENCH_cluster.json
@@ -52,7 +50,6 @@ def main(argv: list[str] | None = None) -> int:
         "analyze": _cmd_analyze,
         "advise": _cmd_advise,
         "sql": _cmd_sql,
-        "serve-bench": _cmd_serve_bench,
         "perf-bench": _cmd_perf_bench,
         "bench-check": _cmd_bench_check,
         "build-bench": _cmd_build_bench,
@@ -113,81 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--table", default="r", help="table name used in the statement")
     sql.add_argument("statement", help="SELECT ... ORDER BY ... STOP AFTER k")
 
-    serve = commands.add_parser(
-        "serve-bench",
-        help="benchmark the batched/cached serving engine vs one-at-a-time",
-    )
-    serve.add_argument("--distribution", default="IND", help="IND|ANT|COR|CLU")
-    serve.add_argument("--n", type=int, default=20000)
-    serve.add_argument("--d", type=int, default=4)
-    serve.add_argument("--k", type=int, default=10)
-    serve.add_argument("--algorithm", default="DL+", choices=sorted(ALGORITHMS))
-    serve.add_argument(
-        "--queries", type=int, default=256, help="total queries in the workload"
-    )
-    serve.add_argument(
-        "--distinct",
-        type=int,
-        default=16,
-        help="distinct weight vectors (repeats model weight-vector locality)",
-    )
-    serve.add_argument("--batch-size", type=int, default=64)
-    serve.add_argument(
-        "--kernel",
-        default="auto",
-        choices=("auto", "reference", "csr", "batch", "native"),
-        help="traversal kernel for the engine (auto picks the compiled C "
-        "walker when it loads, else the python kernels; native forces the "
-        "C walker and fails without a C toolchain)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="thread-pool width for the engine (0 = batched, single thread)",
-    )
-    serve.add_argument("--cache-size", type=int, default=4096)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--arrival-rate",
-        default=None,
-        help="run the async-gateway load generator instead of the offline "
-        "sweep: comma-separated open-loop Poisson rates in q/s, or 'auto' "
-        "to bracket the measured closed-loop capacity",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=32, help="gateway flush size B"
-    )
-    serve.add_argument(
-        "--flush-window-ms",
-        type=float,
-        default=2.0,
-        help="gateway coalescing window in milliseconds",
-    )
-    serve.add_argument(
-        "--slo-ms",
-        type=float,
-        default=10.0,
-        help="end-to-end latency SLO target tracked by the gateway",
-    )
-    serve.add_argument(
-        "--closed-clients",
-        type=int,
-        default=16,
-        help="closed-loop client count (gateway mode only)",
-    )
-    serve.add_argument(
-        "--out",
-        default="BENCH_serve.json",
-        help="output JSON report path (gateway mode only)",
-    )
-    serve.add_argument(
-        "--snapshot",
-        default=None,
-        help="serve a prebuilt snapshot directory instead of generating "
-        "data and rebuilding (overrides --distribution/--n/--d)",
-    )
-
     perf = commands.add_parser(
         "perf-bench",
         help="time index build + per-query latency, CSR kernel vs reference",
@@ -220,15 +142,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser(
         "bench-check",
-        help="gate a fresh perf-bench/serve-bench report against a "
-        "committed baseline",
+        help="gate a fresh perf-bench/snapshot-bench/analytics-bench report "
+        "against a committed baseline",
     )
     check.add_argument("--fresh", required=True, help="freshly produced report")
     check.add_argument(
         "--baseline",
         default="BENCH_query.json",
-        help="committed baseline report (a serve-suite --fresh report "
-        "defaults to BENCH_serve.json instead)",
+        help="committed baseline report (a snapshot or analytics --fresh "
+        "report defaults to its own suite's committed baseline instead)",
     )
     check.add_argument(
         "--tolerance",
@@ -540,161 +462,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.data import generate as generate_relation
-    from repro.serving import QueryEngine
-
-    if args.queries < 1 or args.distinct < 1:
-        print("serve-bench needs --queries >= 1 and --distinct >= 1")
-        return 1
-    if args.arrival_rate is not None:
-        return _serve_bench_gateway(args)
-    rng = np.random.default_rng(args.seed)
-    if args.snapshot is not None:
-        import time as _time
-
-        from repro.io.snapshot import open_snapshot
-
-        start = _time.perf_counter()
-        index = open_snapshot(args.snapshot)
-        open_seconds = _time.perf_counter() - start
-        args.n, args.d = index.relation.n, index.relation.d
-        source = f"snapshot {args.snapshot} (opened in {open_seconds * 1e3:.1f}ms)"
-    else:
-        relation = generate_relation(
-            args.distribution, args.n, args.d, seed=args.seed
-        )
-        index = ALGORITHMS[args.algorithm](relation).build()
-        source = (
-            f"{args.distribution} "
-            f"(built in {index.build_stats.seconds:.2f}s)"
-        )
-    distinct = [random_weight_vector(args.d, rng) for _ in range(args.distinct)]
-    # Repeated weight vectors model the weight-vector locality of real
-    # workloads (same preferences recur across users); shuffle so repeats
-    # are interleaved rather than back-to-back.
-    sequence = [distinct[int(i)] for i in rng.integers(0, args.distinct, args.queries)]
-
-    print(
-        f"serve-bench: {index.name} over {source} "
-        f"n={args.n} d={args.d} k={args.k}; {args.queries} queries, "
-        f"{args.distinct} distinct weight vectors"
-    )
-
-    # Baseline: one query at a time, no cache, no batching.
-    start = time.perf_counter()
-    baseline_cost = 0
-    for w in sequence:
-        baseline_cost += index.query(w, args.k).cost
-    baseline_seconds = time.perf_counter() - start
-    baseline_qps = args.queries / baseline_seconds if baseline_seconds > 0 else 0.0
-
-    # Engine: batched (or thread-pooled) with the result cache.
-    engine = QueryEngine(index, cache_size=args.cache_size, kernel=args.kernel)
-    start = time.perf_counter()
-    if args.workers > 0:
-        engine.query_many(
-            [(w, args.k) for w in sequence], max_workers=args.workers
-        )
-    else:
-        for lo in range(0, args.queries, args.batch_size):
-            engine.query_batch(
-                np.vstack(sequence[lo : lo + args.batch_size]), args.k
-            )
-    engine_seconds = time.perf_counter() - start
-    engine_qps = args.queries / engine_seconds if engine_seconds > 0 else 0.0
-
-    stats = engine.stats()
-    speedup = engine_qps / baseline_qps if baseline_qps > 0 else float("inf")
-    print(f"{'':>24} {'baseline':>12} {'engine':>12}")
-    print(f"{'wall time (s)':>24} {baseline_seconds:>12.4f} {engine_seconds:>12.4f}")
-    print(f"{'throughput (q/s)':>24} {baseline_qps:>12.1f} {engine_qps:>12.1f}")
-    print(
-        f"{'mean cost (tuples)':>24} {baseline_cost / args.queries:>12.1f} "
-        f"{stats['mean_cost']:>12.1f}"
-    )
-    print(f"speedup: {speedup:.2f}x")
-    print()
-    print("engine metrics:")
-    for key in (
-        "queries",
-        "cache_hits",
-        "cache_misses",
-        "hit_rate",
-        "mean_cost",
-        "latency_ms_mean",
-        "latency_ms_p50",
-        "latency_ms_p95",
-        "latency_ms_p99",
-        "max_queue_depth",
-        "batches",
-        "batch_size_mean",
-        "batch_amortized_ms_p50",
-    ):
-        print(f"  {key:>22}: {stats[key]:.4f}")
-    return 0
-
-
-def _serve_bench_gateway(args: argparse.Namespace) -> int:
-    """serve-bench --arrival-rate: the async-gateway load generator."""
-    from repro.bench.servegate import (
-        run_serve_gateway_bench,
-        validate_serve_report,
-        write_report,
-    )
-
-    if args.arrival_rate.strip().lower() == "auto":
-        rates = None
-    else:
-        try:
-            rates = [
-                float(part)
-                for part in args.arrival_rate.split(",")
-                if part.strip()
-            ]
-        except ValueError:
-            print(
-                "serve-bench: --arrival-rate takes comma-separated rates "
-                f"in q/s or 'auto', got {args.arrival_rate!r}"
-            )
-            return 1
-        if not rates or any(rate <= 0 for rate in rates):
-            print("serve-bench: --arrival-rate rates must be positive")
-            return 1
-    print(
-        f"serve-bench (gateway): {args.algorithm} over {args.distribution} "
-        f"n={args.n} d={args.d} k={args.k}; {args.queries} queries, "
-        f"B={args.max_batch}, window {args.flush_window_ms}ms, "
-        f"SLO {args.slo_ms}ms"
-    )
-    report = run_serve_gateway_bench(
-        distribution=args.distribution,
-        n=args.n,
-        d=args.d,
-        k=args.k,
-        algorithm=args.algorithm,
-        queries=args.queries,
-        distinct=args.distinct,
-        arrival_rates=rates,
-        closed_clients=args.closed_clients,
-        max_batch=args.max_batch,
-        flush_window_ms=args.flush_window_ms,
-        slo_target_ms=args.slo_ms,
-        seed=args.seed,
-        snapshot=args.snapshot,
-        progress=print,
-    )
-    validate_serve_report(report)
-    write_report(report, args.out)
-    print(
-        f"wrote closed-loop + {len(report['open_loop'])} open-loop "
-        f"entries to {args.out}"
-    )
-    return 0
-
-
 def _cmd_perf_bench(args: argparse.Namespace) -> int:
     from repro.bench.wallclock import (
         run_wallclock,
@@ -729,7 +496,6 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
         # The default baseline is the query suite's; other suites gate
         # against their own committed baseline unless one was named.
         suite_defaults = {
-            "serve": "BENCH_serve.json",
             "snapshot": "BENCH_snapshot.json",
             "analytics": "BENCH_analytics.json",
         }

@@ -132,7 +132,8 @@ class ClusterEngine(ServingLoop):
         explicit ``engine_kwargs["kernel"]`` wins.
     merge:
         Merge strategy, ``"threshold"`` (default) or ``"naive"``; the
-        ``merge`` attribute may be reassigned between calls.
+        ``merge`` property may be reassigned between calls and rejects
+        any other value, as the constructor does.
     replicate:
         Attach a serialization-hydrated replica to every shard.
     snapshot_dir:
@@ -170,15 +171,11 @@ class ClusterEngine(ServingLoop):
         latency_window: int = 4096,
         build_workers: int | None = None,
     ) -> None:
-        if merge not in MERGE_STRATEGIES:
-            raise InvalidQueryError(
-                f"merge must be one of {MERGE_STRATEGIES}, got {merge!r}"
-            )
+        self.merge = merge
         if index_class is None:
             from repro.core import DLPlusIndex
 
             index_class = DLPlusIndex
-        self.merge = merge
         engine_kwargs = dict(engine_kwargs or {})
         engine_kwargs.setdefault("kernel", kernel)
         self.partitioning: Partitioning = make_partitioning(
@@ -209,6 +206,20 @@ class ClusterEngine(ServingLoop):
     # ------------------------------------------------------------------ #
     # Introspection (QueryEngine-parity surface)
     # ------------------------------------------------------------------ #
+
+    @property
+    def merge(self) -> str:
+        """Merge strategy, ``"threshold"`` or ``"naive"``; assignable
+        between calls, and checked on every assignment."""
+        return self._merge
+
+    @merge.setter
+    def merge(self, merge: str) -> None:
+        if merge not in MERGE_STRATEGIES:
+            raise InvalidQueryError(
+                f"merge must be one of {MERGE_STRATEGIES}, got {merge!r}"
+            )
+        self._merge = merge
 
     @property
     def version(self) -> int:

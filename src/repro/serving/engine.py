@@ -32,8 +32,7 @@ traffic the way a deployed system would:
   :class:`~repro.serving.metrics.MetricsRegistry` (latency percentiles,
   Definition 9 cost, hit rate, queue depth) with one registry update per
   call, exportable as a flat dict (:meth:`QueryEngine.stats`; keys and
-  counter semantics in DESIGN.md §3b) and rendered by the
-  ``repro-topk serve-bench`` CLI.
+  counter semantics in DESIGN.md §3b).
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ window anchored at the oldest pending request and dispatches a batch when
 either the window expires (*flush-on-deadline*) or ``max_batch`` requests
 are pending (*flush-on-size*).  Each flush drains requests **round-robin
 across tenants** (fair share: a tenant flooding the gateway cannot starve
-a light tenant's requests out of the next batch) and groups the drained
-rows by k, feeding each group through ``engine.query_batch`` — so every
+a light tenant's requests out of the next batch) and sends the drained
+rows, one k per row, through one ``engine.query_batch`` call — so every
 answer inherits the engine's bitwise-identity contract: a coalesced answer
 is byte-for-byte the answer ``engine.query(w, k)`` would have returned.
 Both the single-node :class:`~repro.serving.QueryEngine` and the sharded
@@ -99,7 +99,8 @@ class AsyncGateway:
     engine:
         A :class:`~repro.serving.QueryEngine` or
         :class:`~repro.cluster.ClusterEngine` (anything exposing ``d`` and
-        ``query_batch(matrix, k)`` whose results carry ``cost``).
+        ``query_batch(matrix, ks)`` with one k per row, whose results
+        carry ``cost``).
     max_batch:
         Flush-on-size threshold: a batch is dispatched the moment this
         many requests are pending (also the lane cap per flush).
@@ -338,57 +339,49 @@ class AsyncGateway:
         return batch
 
     async def _dispatch(self, batch: list[_Pending]) -> None:
-        """Serve one flushed batch through ``engine.query_batch``.
+        """Serve one flushed batch through one ``engine.query_batch`` call.
 
-        Rows are grouped by k (the unit both engines batch on; the
-        cluster engine only takes a scalar k per call) — mixed-k flushes
-        still fill lanes per group.  Any engine failure resolves every
-        waiter with the exception instead of stranding them.
+        The flush goes to the engine whole, with one k per row: both
+        engines group rows by effective k themselves, so a mixed-k flush
+        still fills lanes per group.  An engine failure resolves every
+        waiter in the flush with the same exception instead of stranding
+        them.
         """
-        groups: dict[int, list[_Pending]] = {}
-        for item in batch:
-            groups.setdefault(item.k, []).append(item)
         start = self._clock()
-        outputs: list[tuple[list[_Pending], list]] = []
         try:
-            for k, items in groups.items():
-                matrix = np.ascontiguousarray(
-                    np.stack([item.weights for item in items])
-                )
-                results = await self._execute(matrix, k)
-                outputs.append((items, results))
+            matrix = np.stack([item.weights for item in batch])
+            results = await self._execute(matrix, [item.k for item in batch])
         except Exception as exc:
             for item in batch:
                 if not item.future.done():
                     item.future.set_exception(exc)
             return
-        self.metrics.record_batch(len(batch), self._clock() - start)
         now = self._clock()
-        for items, results in outputs:
-            for item, result in zip(items, results):
-                latency = now - item.enqueued_at
-                violated = (
-                    self.slo_target_ms is not None
-                    and latency * 1e3 > self.slo_target_ms
-                )
-                # A zero-cost answer means the engine served it from its
-                # result cache (any real traversal evaluates >= 1 tuple).
-                self._tenant_registry(item.tenant).record_external(
-                    cost=result.cost,
-                    seconds=latency,
-                    hit=result.cost == 0,
-                    batched=True,
-                    slo_violated=violated,
-                )
-                if not item.future.done():
-                    item.future.set_result(result)
+        self.metrics.record_batch(len(batch), now - start)
+        for item, result in zip(batch, results):
+            latency = now - item.enqueued_at
+            violated = (
+                self.slo_target_ms is not None
+                and latency * 1e3 > self.slo_target_ms
+            )
+            # A zero-cost answer means the engine served it from its
+            # result cache (any real traversal evaluates >= 1 tuple).
+            self._tenant_registry(item.tenant).record_external(
+                cost=result.cost,
+                seconds=latency,
+                hit=result.cost == 0,
+                batched=True,
+                slo_violated=violated,
+            )
+            if not item.future.done():
+                item.future.set_result(result)
 
-    async def _execute(self, matrix: np.ndarray, k: int):
+    async def _execute(self, matrix: np.ndarray, ks: list[int]):
         if self._executor is None:
-            return self.engine.query_batch(matrix, k)
+            return self.engine.query_batch(matrix, ks)
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self._executor, self.engine.query_batch, matrix, k
+            self._executor, self.engine.query_batch, matrix, ks
         )
 
     # ------------------------------------------------------------------ #

@@ -11,7 +11,7 @@ the cost and cache hits on the returned :class:`QueryRecord`.  Work done
 outside such a call (a shard's share of a cluster merge, a gateway
 request's end-to-end latency) is folded in by
 :meth:`MetricsRegistry.record_external`.  :meth:`as_dict` exports a flat
-snapshot for reporting (the ``serve-bench`` CLI renders it).
+snapshot for reporting (``stats()`` on both engines and the gateway).
 """
 
 from __future__ import annotations

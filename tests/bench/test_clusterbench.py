@@ -49,6 +49,43 @@ def test_run_cluster_bench_smoke(smoke_report, tmp_path):
     assert json.loads(out.read_text()) == report
 
 
+def test_shard_throughput_excludes_build_time(monkeypatch):
+    """``shard_throughput_qps`` divides by the time the merge streams
+    served, not by the time since the first shard was built: a cluster
+    whose construction takes a full second still reports the serving
+    rate."""
+    import time
+
+    from repro.bench import clusterbench
+
+    build_pause = 1.0
+    built = []
+
+    class SlowBuildCluster(clusterbench.ClusterEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            time.sleep(build_pause)
+            built.append(self)
+
+    monkeypatch.setattr(clusterbench, "ClusterEngine", SlowBuildCluster)
+    report = run_cluster_bench(
+        distributions=("IND",),
+        shard_counts=(2,),
+        d=3,
+        n=400,
+        k=5,
+        queries=4,
+        partitioner="round-robin",
+        seed=7,
+    )
+    [entry] = report["cells"][0]["clusters"]
+    [cluster] = built
+    shard_queries = cluster.stats()["shards"]["queries"]
+    assert shard_queries > 0
+    # Counting the pause would cap the rate at shard_queries / pause.
+    assert entry["shard_throughput_qps"] > shard_queries / build_pause
+
+
 def test_validator_rejects_drift(smoke_report):
     import copy
 

@@ -3,6 +3,7 @@ cross-check enforcement, and the bench-check CLI surface."""
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from repro.bench.regression import (
     NOISE_FLOOR_MS,
     check_query_regression,
     check_regression,
-    check_serve_regression,
     load_report,
 )
 
@@ -129,137 +129,44 @@ def test_load_report_validates(tmp_path):
         load_report(str(path))
 
 
-def make_serve_report(*, n=20_000, closed_qps=1500.0, top_occupancy=12.0):
-    def entry(rate, occupancy):
-        return {
-            "arrival_rate": rate,
-            "offered_qps": rate,
-            "queries": 512,
-            "completed": 512,
-            "rejected": 0,
-            "qps": min(rate, closed_qps),
-            "p50_ms": 3.0,
-            "p95_ms": 8.0,
-            "p99_ms": 20.0,
-            "batch_occupancy": occupancy,
-            "batches": 100,
-            "slo_violations": 5,
-        }
-
-    return {
-        "suite": "serve",
-        "algorithm": "DL+",
-        "distribution": "IND",
-        "n": n,
-        "d": 4,
-        "k": 10,
-        "queries": 512,
-        "distinct": 32,
-        "seed": 7,
-        "build_seconds": 1.0,
-        "crosscheck": "bitwise",
-        "gateway": {
-            "max_batch": 32,
-            "flush_window_ms": 2.0,
-            "slo_target_ms": 10.0,
-            "max_pending": 4096,
-        },
-        "closed_loop": {
-            "clients": 16,
-            "queries": 512,
-            "qps": closed_qps,
-            "p50_ms": 5.0,
-            "p95_ms": 12.0,
-            "p99_ms": 25.0,
-            "batch_occupancy": 16.0,
-        },
-        "open_loop": [
-            entry(closed_qps * 0.5, 3.0),
-            entry(closed_qps * 2.0, top_occupancy),
-        ],
-    }
-
-
-def test_serve_identical_reports_pass():
-    report = make_serve_report()
-    assert check_serve_regression(report, report) == []
-
-
-def test_serve_matched_workload_capacity_drop_fails():
-    baseline = make_serve_report(closed_qps=1500.0)
-    fresh = make_serve_report(closed_qps=1500.0 / 1.3)
-    failures = check_serve_regression(fresh, baseline)
-    assert any("closed-loop capacity" in f for f in failures)
-    within = make_serve_report(closed_qps=1500.0 / 1.2)
-    assert check_serve_regression(within, baseline) == []
-
-
-def test_serve_no_overlap_skips_capacity_comparison():
-    """A smoke report at a different n must not gate on absolute q/s —
-    only the scale-free occupancy invariant applies."""
-    baseline = make_serve_report(n=20_000, closed_qps=1500.0)
-    smoke = make_serve_report(n=1500, closed_qps=100.0)
-    assert check_serve_regression(smoke, baseline) == []
-
-
-def test_serve_occupancy_invariant_trips():
-    baseline = make_serve_report()
-    degenerate = make_serve_report(top_occupancy=1.0)
-    failures = check_serve_regression(degenerate, baseline)
-    assert any("occupancy" in f for f in failures)
-
-
-def test_serve_missing_crosscheck_marker_rejected():
-    baseline = make_serve_report()
-    unchecked = copy.deepcopy(baseline)
-    del unchecked["crosscheck"]
-    failures = check_serve_regression(unchecked, baseline)
-    assert any("crosscheck" in f for f in failures)
+#: Committed baselines of the non-query suites, read by the routing tests.
+ANALYTICS_BASELINE = Path(__file__).resolve().parents[2] / "BENCH_analytics.json"
 
 
 def test_check_regression_dispatches_by_suite():
     query = make_report()
-    serve = make_serve_report()
     assert check_regression(query, query) == []
-    assert check_regression(serve, serve) == []
-    failures = check_regression(serve, query)
+    failures = check_regression(query, {"suite": "analytics"})
     assert any("suite mismatch" in f for f in failures)
 
 
-def test_load_report_dispatches_serve_validator(tmp_path):
-    path = tmp_path / "serve.json"
-    path.write_text(json.dumps(make_serve_report()))
-    assert load_report(str(path))["suite"] == "serve"
-    broken = make_serve_report()
-    broken["open_loop"][0]["completed"] = 1  # completed+rejected != queries
-    path.write_text(json.dumps(broken))
-    with pytest.raises(ValueError):
+def test_load_report_dispatches_suite_validator(tmp_path):
+    report = json.loads(ANALYTICS_BASELINE.read_text())
+    path = tmp_path / "analytics.json"
+    path.write_text(json.dumps(report))
+    assert load_report(str(path))["suite"] == "analytics"
+    del report["summary"]
+    path.write_text(json.dumps(report))
+    with pytest.raises((ValueError, KeyError)):
         load_report(str(path))
 
 
-def test_bench_check_cli_routes_serve_reports(tmp_path, capsys):
+def test_bench_check_cli_routes_suite_reports(tmp_path, capsys, monkeypatch):
+    """With no --baseline, a non-query report gates against its own
+    suite's committed baseline rather than BENCH_query.json."""
     from repro.cli import main
 
-    fresh = tmp_path / "fresh_serve.json"
-    baseline = tmp_path / "baseline_serve.json"
-    fresh.write_text(json.dumps(make_serve_report()))
-    baseline.write_text(json.dumps(make_serve_report()))
-    assert (
-        main(
-            ["bench-check", "--fresh", str(fresh), "--baseline", str(baseline)]
-        )
-        == 0
-    )
-    assert "bench-check OK" in capsys.readouterr().out
+    monkeypatch.chdir(ANALYTICS_BASELINE.parent)
+    fresh = tmp_path / "fresh_analytics.json"
+    report = json.loads(ANALYTICS_BASELINE.read_text())
+    fresh.write_text(json.dumps(report))
+    assert main(["bench-check", "--fresh", str(fresh)]) == 0
+    assert "vs BENCH_analytics.json" in capsys.readouterr().out
 
-    fresh.write_text(json.dumps(make_serve_report(top_occupancy=0.9)))
-    assert (
-        main(
-            ["bench-check", "--fresh", str(fresh), "--baseline", str(baseline)]
-        )
-        == 1
-    )
-    assert "occupancy" in capsys.readouterr().out
+    del report["crosscheck"]
+    fresh.write_text(json.dumps(report))
+    assert main(["bench-check", "--fresh", str(fresh)]) == 1
+    assert "crosscheck" in capsys.readouterr().out
 
 
 def test_bench_check_cli_exit_codes(tmp_path, capsys):

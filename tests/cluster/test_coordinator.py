@@ -87,6 +87,19 @@ def test_invalid_queries_raise():
         ClusterEngine(relation, shards=2, merge="zipper")
 
 
+def test_merge_assignment_is_validated():
+    """Reassigning ``merge`` is checked like the constructor argument: an
+    unknown strategy raises and leaves the previous merge serving."""
+    relation = generate("IND", 50, 2, seed=1)
+    cluster = ClusterEngine(relation, shards=2, cache_size=0, merge="naive")
+    with pytest.raises(InvalidQueryError):
+        cluster.merge = "zipper"
+    assert cluster.merge == "naive"
+    assert cluster.query(np.array([0.5, 0.5]), 3).merge == "naive"
+    cluster.merge = "threshold"
+    assert cluster.query(np.array([0.5, 0.5]), 3).merge == "threshold"
+
+
 def test_non_integral_k_rejected_cluster_wide():
     """Regression companion to the engine-side fix: the coordinator used
     to pre-truncate k with int() before scattering, so k=2.5 silently

@@ -412,6 +412,58 @@ def test_coalesced_answers_bitwise_identical_property(
     close(loop, gateway, clock)
 
 
+class FlakyEngine(QueryEngine):
+    """A QueryEngine whose ``query_batch`` raises on one chosen call."""
+
+    def __init__(self, index, fail_on_call: int) -> None:
+        super().__init__(index, cache_size=0)
+        self.calls = 0
+        self.fail_on_call = fail_on_call
+        self.error = RuntimeError("engine down for one flush")
+
+    def query_batch(self, weights_matrix, k):
+        self.calls += 1
+        if self.calls == self.fail_on_call:
+            raise self.error
+        return super().query_batch(weights_matrix, k)
+
+
+def test_engine_failure_fails_exactly_its_flush(
+    loop, forbid_real_sleeps, index
+):
+    """An engine error fails every waiter of that flush with the same
+    exception object; the next flush is served bitwise and the gateway
+    stays open.  Each mixed-k flush is one engine call."""
+    asyncio.set_event_loop(loop)
+    clock = FakeClock()
+    engine = FlakyEngine(index, fail_on_call=1)
+    gateway = AsyncGateway(
+        engine, max_batch=4, flush_window_ms=1000.0,
+        clock=clock, sleep=clock.sleep,
+    )
+    oracle = QueryEngine(index, cache_size=0)
+    rng = np.random.default_rng(19)
+    ks = (3, 5, 3, 7)
+    first = [rng.dirichlet(np.ones(3)) for _ in ks]
+    failed = [submit(loop, gateway, w, k) for w, k in zip(first, ks)]
+    step(loop)
+    assert all(task.done() for task in failed)
+    assert all(task.exception() is engine.error for task in failed)
+    assert engine.calls == 1
+
+    second = [rng.dirichlet(np.ones(3)) for _ in ks]
+    served = [submit(loop, gateway, w, k) for w, k in zip(second, ks)]
+    step(loop)
+    assert all(task.done() for task in served)
+    for w, k, task in zip(second, ks, served):
+        expected = oracle.query(w, k)
+        assert task.result().ids.tobytes() == expected.ids.tobytes()
+        assert task.result().scores.tobytes() == expected.scores.tobytes()
+    assert engine.calls == 2
+    assert gateway.stats()["accepted"] == 8.0
+    close(loop, gateway, clock)
+
+
 def test_gateway_fronts_cluster_engine(loop, forbid_real_sleeps):
     """The gateway accepts a ClusterEngine and preserves its bitwise
     scatter-gather answers."""
