@@ -177,9 +177,15 @@ class AnalyticsEngine:
             if structure is None:
                 have_levels = False
                 continue
-            levels[shard.global_ids] = structure.coarse_levels[
+            # Placements follow the ids the structure was built with.  An
+            # absorbed write leaves them unchanged: its insert stays -1
+            # (unplaced), and a built id past ``size`` is an absorbed
+            # delete, which was unplaced too.
+            built = shard.built_ids
+            inside = built < size
+            levels[built[inside]] = structure.coarse_levels[
                 : structure.n_real
-            ]
+            ][inside]
             num_coarse = min(num_coarse, int(structure.num_coarse_layers))
             complete = complete and bool(structure.complete)
         if not have_levels:

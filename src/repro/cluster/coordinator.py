@@ -56,14 +56,30 @@ one is attached; otherwise the query degrades to a result flagged
 ``partial=True`` listing the shards whose tuples are missing.  Partial
 results are never cached.
 
-Maintenance routes ``insert``/``delete`` to the owning shard (the
-partitioner's routing rule) and bumps a cluster-wide version that keys —
-and therefore invalidates — the coordinator's result cache.
+Maintenance
+-----------
+``insert``/``delete`` route to the owning shard (the partitioner's
+routing rule), and every write bumps the cluster-wide version that keys
+the coordinator's result cache.  The shard decides exactly whether the
+write is *absorbed*.  With ``max_layers=L`` every top-k answer for
+``k <= L`` lies in the first ``L`` coarse layers, and queries with
+``k > L`` are refused.  So an insert dominated by a member of the last
+materialised layer, or the delete of a tuple beyond the materialised
+layers, changes no layer ``1..L`` and no answer (proof sketch in
+:meth:`Shard.insert` / :meth:`Shard.delete`).  An absorbed write updates
+the shard's live rows and ids only and keeps its engine, replica and
+snapshot.  The coordinator then carries every cached answer to the new
+version (:meth:`ResultCache.rekey`).  Any other write rebuilds the
+owning shard, and the serving loop drops the old version's entries on
+its next call.  ``stats()`` counts both kinds (``writes_absorbed``,
+``shard_rebuilds``), and each write logs one DEBUG event on the
+``repro.cluster`` logger.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -73,11 +89,14 @@ import numpy as np
 from repro.cluster.partition import Partitioning, make_partitioning
 from repro.cluster.shard import Shard, ShardAnswer, build_shards
 from repro.core.base import TopKResult
+from repro.core.maintenance import validate_tuple, validate_tuple_id
 from repro.exceptions import InvalidQueryError, ShardFailedError
 from repro.relation import Relation
 from repro.serving.engine import ServingLoop
 from repro.serving.metrics import MetricsRegistry
 from repro.stats import AccessCounter
+
+_log = logging.getLogger("repro.cluster")
 
 
 @dataclass
@@ -197,6 +216,8 @@ class ClusterEngine(ServingLoop):
         # Growing global-id space: shard owner per ever-assigned id
         # (-1 once deleted); new ids continue past the initial n.
         self._owner = self.partitioning.shard_of.copy()
+        self.writes_absorbed = 0
+        self.shard_rebuilds = 0
         super().__init__(
             cache_size=cache_size,
             quantize_decimals=quantize_decimals,
@@ -223,7 +244,8 @@ class ClusterEngine(ServingLoop):
 
     @property
     def version(self) -> int:
-        """Cluster-wide structure version (bumped by insert/delete)."""
+        """Cluster-wide version, bumped by every insert and delete
+        (absorbed ones included)."""
         return self._version
 
     @property
@@ -240,9 +262,12 @@ class ClusterEngine(ServingLoop):
         return len(self.shards)
 
     def stats(self) -> dict:
-        """:meth:`ServingLoop.stats` plus per-shard and rolled-up metrics."""
+        """:meth:`ServingLoop.stats` plus write counts and per-shard and
+        rolled-up metrics."""
         snapshot = super().stats()
         snapshot["num_shards"] = float(self.num_shards)
+        snapshot["writes_absorbed"] = float(self.writes_absorbed)
+        snapshot["shard_rebuilds"] = float(self.shard_rebuilds)
         registries = [shard.metrics_registry() for shard in self.shards]
         snapshot["shards"] = MetricsRegistry.aggregate(registries)
         snapshot["per_shard"] = {
@@ -259,34 +284,54 @@ class ClusterEngine(ServingLoop):
         """Insert one tuple; returns its new global id.
 
         The owning shard comes from the partitioner's routing rule
-        (id-based for round-robin/hash, wedge lookup for angular); the
-        shard rebuilds its index (re-hydrating its replica if any) and the
-        cluster version bump invalidates every cached answer.
+        (id-based for round-robin/hash, wedge lookup for angular).  The
+        shard absorbs the tuple or rebuilds its index (re-hydrating its
+        replica if any); see the module docstring's Maintenance section.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.d,):
-            raise InvalidQueryError(
-                f"expected a {self.d}-vector, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidQueryError("tuple values must be finite")
+        values = validate_tuple(values, self.d)
         global_id = self._owner.shape[0]
         shard_id = self.partitioning.route(global_id, values)
-        self.shards[shard_id].insert(global_id, values)
+        start = time.perf_counter()
+        absorbed = self.shards[shard_id].insert(global_id, values)
         self._owner = np.concatenate(
             [self._owner, np.asarray([shard_id], dtype=np.intp)]
         )
-        self._version += 1
+        self._wrote("insert", shard_id, absorbed, start)
         return int(global_id)
 
     def delete(self, global_id: int) -> None:
         """Delete one tuple by global id (routed to its owning shard)."""
+        global_id = validate_tuple_id(global_id)
         if not (0 <= global_id < self._owner.shape[0]) or self._owner[global_id] < 0:
             raise InvalidQueryError(f"no live tuple with global id {global_id}")
         shard_id = int(self._owner[global_id])
-        self.shards[shard_id].delete(global_id)
+        start = time.perf_counter()
+        absorbed = self.shards[shard_id].delete(global_id)
         self._owner[global_id] = -1
+        self._wrote("delete", shard_id, absorbed, start)
+
+    def _wrote(self, kind: str, shard_id: int, absorbed: bool, start: float) -> None:
+        """Advance the version past one applied write.
+
+        An absorbed write changed no answer, so every entry of the
+        current version is carried to the new one in one locked pass;
+        after a rebuild the serving loop prunes them on its next call.
+        """
+        previous = self._version
         self._version += 1
+        if absorbed:
+            self.writes_absorbed += 1
+            self.cache.rekey(previous, self._version)
+            self._seen_version = self._version
+        else:
+            self.shard_rebuilds += 1
+        _log.debug(
+            "%s on shard %d %s in %.3f ms",
+            kind,
+            shard_id,
+            "absorbed" if absorbed else "rebuilt",
+            (time.perf_counter() - start) * 1e3,
+        )
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -18,6 +18,12 @@ snapshot path, so the very same round-trip ships a few bytes and the
 replica re-opens the shared page-cache copy — zero deserialization, zero
 duplicate arrays.  :class:`FailingShard` wraps a shard to inject the
 primary-node failure the coordinator's retry path is tested against.
+
+A write that cannot change any answer is *absorbed* (see
+:meth:`Shard.insert` / :meth:`Shard.delete`): only the live rows and
+global ids change, and the engine, its replica and its snapshot keep
+serving the structure they were built on.  Answers map local ids through
+:attr:`Shard.built_ids`, the global ids that structure was built with.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.io import index_from_bytes, index_to_bytes, open_snapshot
 from repro.io.snapshot import read_manifest, save_snapshot
 from repro.relation import Relation
 from repro.serving import QueryEngine
+from repro.skyline.dominance import is_dominated
 
 
 class ShardAnswer:
@@ -107,6 +114,9 @@ class Shard:
     global_ids:
         Ascending global id per local id (the partitioner guarantees the
         ordering; the merge's tie-break correctness depends on it).
+        After absorbed writes the live ids (:attr:`global_ids`) and the
+        ids the serving structure was built with (:attr:`built_ids`)
+        differ; both stay ascending.
     index_class:
         DL/DL+ (or any gated layer index) class built per shard.
     index_kwargs:
@@ -148,11 +158,11 @@ class Shard:
         self.relation = relation
         self.replica: QueryEngine | None = None
         self.snapshot_path: Path | None = None
-        if snapshot_dir is not None and self._reopen_snapshot(Path(snapshot_dir)):
-            return
-        self.engine = self._build_engine(relation)
-        if snapshot_dir is not None:
-            self.snapshot_to(snapshot_dir)
+        if snapshot_dir is None or not self._reopen_snapshot(Path(snapshot_dir)):
+            self.engine = self._build_engine(relation)
+            if snapshot_dir is not None:
+                self.snapshot_to(snapshot_dir)
+        self._note_layers()
 
     # ------------------------------------------------------------------ #
     # Construction / replication
@@ -161,6 +171,26 @@ class Shard:
     def _build_engine(self, relation: Relation) -> QueryEngine:
         index = self.index_class(relation, **self.index_kwargs)
         return QueryEngine(index, **self.engine_kwargs)
+
+    def _note_layers(self) -> None:
+        """Record what the write test needs of a freshly built structure.
+
+        ``built_ids`` maps the engine's local ids to global ids.  An
+        incomplete structure (``max_layers`` left tuples unplaced) keeps
+        the members of its last materialised coarse layer, the only
+        tuples an insert is tested against, and counts the live tuples
+        beyond the materialised layers.
+        """
+        self.built_ids = self.global_ids
+        structure = getattr(self.engine.index, "structure", None)
+        if structure is None or structure.complete:
+            self._last_layer = None
+            self._beyond = 0
+            return
+        levels = np.asarray(structure.coarse_levels[: structure.n_real])
+        last = structure.num_coarse_layers - 1
+        self._last_layer = self.relation.matrix[levels == last]
+        self._beyond = int(np.count_nonzero(levels < 0))
 
     def _reopen_snapshot(self, path: Path) -> bool:
         """Adopt an existing snapshot at ``path`` if it matches our rows.
@@ -247,7 +277,7 @@ class Shard:
         lane-parallel traversal) — instead of one scatter-gather per row.
         Row ``i`` is bitwise the one-row answer for ``weights_matrix[i]``.
         The engine's answers are ascending by ``(score, local id)``;
-        because ``global_ids`` is ascending, mapping preserves ascending
+        because ``built_ids`` is ascending, mapping preserves ascending
         ``(score, global id)`` order.
         """
         engine = self._serving_engine(use_replica)
@@ -255,7 +285,7 @@ class Shard:
         return [
             ShardAnswer(
                 self.shard_id,
-                self.global_ids[result.ids],
+                self.built_ids[result.ids],
                 result.scores,
                 result.counter,
             )
@@ -295,7 +325,7 @@ class Shard:
                 "the threshold merge needs a gated layer index"
             )
         return ShardCursor(
-            TopKCursor(structure, weights), self.global_ids, self.shard_id
+            TopKCursor(structure, weights), self.built_ids, self.shard_id
         )
 
     def _serving_engine(self, use_replica: bool) -> QueryEngine:
@@ -308,15 +338,26 @@ class Shard:
         return self.engine
 
     # ------------------------------------------------------------------ #
-    # Maintenance (rebuild semantics; global ids stay stable)
+    # Maintenance (absorb or rebuild; global ids stay stable)
     # ------------------------------------------------------------------ #
 
-    def insert(self, global_id: int, values: np.ndarray) -> None:
-        """Append one tuple owned by this shard and rebuild its index.
+    def insert(self, global_id: int, values: np.ndarray) -> bool:
+        """Append one tuple owned by this shard; True when it was absorbed.
 
         New global ids are strictly increasing cluster-wide, so appending
         keeps ``global_ids`` ascending — the merge invariant survives
         maintenance.
+
+        The insert is absorbed — no rebuild — when the structure is
+        incomplete and a member ``p`` of its last materialised coarse
+        layer ``L`` dominates the new tuple ``t`` (an exact test, no
+        tolerance).  Then ``t`` lies beyond layer ``L``, and it dominates
+        no member of layers ``1..L`` (``p`` would dominate that member
+        too), so those layers, and every top-k answer for k ≤ L, are
+        unchanged.  ``t`` also loses every such answer: a dominance chain
+        of ``L`` older tuples ends at ``p``, each scores no higher under
+        positive weights, and each has a smaller id for the tie-break.
+        Any other insert rebuilds the shard.
         """
         values = np.asarray(values, dtype=np.float64)
         if self.global_ids.shape[0] and global_id <= int(self.global_ids[-1]):
@@ -324,28 +365,59 @@ class Shard:
                 f"shard {self.shard_id}: insert id {global_id} not above "
                 f"existing ids (max {int(self.global_ids[-1])})"
             )
-        matrix = np.vstack([self.relation.matrix, values[None, :]])
+        absorbed = self._last_layer is not None and is_dominated(
+            values, self._last_layer
+        )
         self.global_ids = np.concatenate(
             [self.global_ids, np.asarray([global_id], dtype=np.intp)]
         )
-        self._rebuild(matrix)
+        self._set_rows(np.vstack([self.relation.matrix, values[None, :]]))
+        if absorbed:
+            self._beyond += 1
+        else:
+            self._rebuild()
+        return absorbed
 
-    def delete(self, global_id: int) -> None:
-        """Remove one tuple by global id and rebuild the shard index."""
+    def delete(self, global_id: int) -> bool:
+        """Remove one tuple by global id; True when it was absorbed.
+
+        The delete is absorbed when the tuple lies beyond the materialised
+        layers — the structure left it unplaced, or it was itself an
+        absorbed insert — and another live tuple stays beyond them.  A
+        coarse layer depends only on its members' dominators, which all
+        sit in lower layers, so layers ``1..L`` and every answer are
+        unchanged, and the structure stays incomplete as a rebuild's
+        would.  Any other delete rebuilds the shard.
+        """
         pos = int(np.searchsorted(self.global_ids, global_id))
         if pos >= self.global_ids.shape[0] or self.global_ids[pos] != global_id:
             raise InvalidQueryError(
                 f"shard {self.shard_id} does not own global id {global_id}"
             )
+        absorbed = self._beyond > 1 and self._lies_beyond(global_id)
         keep = np.ones(self.global_ids.shape[0], dtype=bool)
         keep[pos] = False
         self.global_ids = self.global_ids[keep]
-        self._rebuild(self.relation.matrix[keep])
+        self._set_rows(self.relation.matrix[keep])
+        if absorbed:
+            self._beyond -= 1
+        else:
+            self._rebuild()
+        return absorbed
 
-    def _rebuild(self, matrix: np.ndarray) -> None:
+    def _lies_beyond(self, global_id: int) -> bool:
+        """Whether a live tuple is outside the materialised layers."""
+        pos = int(np.searchsorted(self.built_ids, global_id))
+        if pos >= self.built_ids.shape[0] or self.built_ids[pos] != global_id:
+            return True  # an absorbed insert
+        return bool(self.engine.index.structure.coarse_levels[pos] < 0)
+
+    def _set_rows(self, matrix: np.ndarray) -> None:
         self.relation = Relation(
             np.ascontiguousarray(matrix), self.relation.schema, check_domain=False
         )
+
+    def _rebuild(self) -> None:
         self.engine = self._build_engine(self.relation)
         if self.snapshot_path is not None:
             # Snapshot-backed shard: persist the new structure and keep
@@ -353,6 +425,7 @@ class Shard:
             self.snapshot_to(self.snapshot_path)
         elif self.replica is not None:
             self.attach_replica()
+        self._note_layers()
 
     def metrics_registry(self):
         """The primary engine's metrics (per-shard serving telemetry)."""
@@ -404,13 +477,13 @@ class FailingShard:
         self._check(use_replica)
         return self._shard.cursor(weights, use_replica=use_replica)
 
-    def insert(self, global_id: int, values: np.ndarray) -> None:
+    def insert(self, global_id: int, values: np.ndarray) -> bool:
         self._check(False)
-        self._shard.insert(global_id, values)
+        return self._shard.insert(global_id, values)
 
-    def delete(self, global_id: int) -> None:
+    def delete(self, global_id: int) -> bool:
         self._check(False)
-        self._shard.delete(global_id)
+        return self._shard.delete(global_id)
 
     def __getattr__(self, name):
         return getattr(self._shard, name)

@@ -46,6 +46,35 @@ from repro.skyline.dominance import dominance_matrix, dominates_any, dominators_
 from repro.stats import AccessCounter
 
 
+def validate_tuple_id(tuple_id) -> int:
+    """A write's tuple id as a plain ``int``.
+
+    Python and numpy integers pass; anything else — ``bool`` included,
+    since ``True`` would silently address tuple 1 — raises
+    :class:`~repro.exceptions.InvalidQueryError`.  Shared by the dynamic
+    index and the cluster coordinator.
+    """
+    if isinstance(tuple_id, bool) or not isinstance(tuple_id, (int, np.integer)):
+        raise InvalidQueryError(f"tuple id must be an integer, got {tuple_id!r}")
+    return int(tuple_id)
+
+
+def validate_tuple(values, d: int) -> np.ndarray:
+    """An inserted tuple as a finite float64 ``d``-vector, or
+    :class:`~repro.exceptions.InvalidQueryError`."""
+    try:
+        row = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidQueryError(
+            f"tuple values must be numbers, got {values!r}"
+        ) from exc
+    if row.shape != (d,):
+        raise InvalidQueryError(f"expected a {d}-vector, got shape {row.shape}")
+    if not np.all(np.isfinite(row)):
+        raise InvalidQueryError("tuple values must be finite")
+    return row
+
+
 class DynamicDualLayerIndex:
     """A mutable dual-resolution index over a growing/shrinking point set.
 
@@ -92,11 +121,7 @@ class DynamicDualLayerIndex:
 
     def insert(self, values: np.ndarray) -> int:
         """Insert a tuple; returns its id."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.d,):
-            raise InvalidQueryError(
-                f"expected a {self.d}-vector, got shape {values.shape}"
-            )
+        values = validate_tuple(values, self.d)
         point_id = len(self._points)
         self._points.append(values)
         self._alive.append(True)
@@ -117,6 +142,7 @@ class DynamicDualLayerIndex:
 
     def delete(self, point_id: int) -> None:
         """Delete a tuple by id."""
+        point_id = validate_tuple_id(point_id)
         if not (0 <= point_id < len(self._points)) or not self._alive[point_id]:
             raise InvalidQueryError(f"no live tuple with id {point_id}")
         layer = self._layer_of.pop(point_id)

@@ -20,6 +20,11 @@ An entry is keyed by ``(quantized weights, k, structure version)``:
   A mutation therefore changes the key of *every* subsequent lookup, so a
   cached answer can never be served stale; :meth:`prune` additionally drops
   the unreachable old-version entries eagerly.
+
+A write the owner proves changes no answer — a cluster write absorbed
+beyond the materialised layers (see :mod:`repro.cluster.coordinator`) —
+still bumps the version, and :meth:`rekey` then carries the current
+entries to the new version instead of dropping them.
 """
 
 from __future__ import annotations
@@ -132,6 +137,22 @@ class ResultCache:
             for key in stale:
                 del self._entries[key]
             return len(stale)
+
+    def rekey(self, old_version: int, new_version: int) -> int:
+        """Carry every ``old_version`` entry to ``new_version``.
+
+        For a version bump that provably changed no answer.  One locked
+        pass keeps LRU order and drops entries of any other version (they
+        were unreachable already).  Returns the number of entries carried.
+        """
+        old, new = int(old_version), int(new_version)
+        with self._lock:
+            self._entries = OrderedDict(
+                ((key[0], key[1], new), entry)
+                for key, entry in self._entries.items()
+                if key[2] == old
+            )
+            return len(self._entries)
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""

@@ -80,3 +80,63 @@ def test_cluster_analytics_survives_maintenance(rng):
 
     with pytest.raises(InvalidQueryError):
         a_cluster.why_not(w, victim, 3)
+
+
+def test_cluster_analytics_after_absorbed_writes():
+    """Absorbed writes leave a shard's structure built on fewer or more
+    rows than it holds; placements must follow the build's ids.  Reverse
+    top-k, why-not (a just-absorbed tuple included) and what-if then equal
+    their results on a cluster whose shards were built on the live rows."""
+    from repro.analytics import TupleEdit
+    from repro.cluster.shard import Shard
+
+    relation = generate("IND", 90, 2, seed=29)
+    options = dict(shards=3, cache_size=0, index_kwargs={"max_layers": 4})
+    cluster = ClusterEngine(relation, **options)
+    absorbed = [cluster.insert(np.array([0.97, 0.98])) for _ in range(3)]
+    shard = cluster.shards[0]
+    levels = shard.engine.index.structure.coarse_levels[: shard.built_ids.shape[0]]
+    unplaced = [int(g) for g in shard.built_ids[levels < 0]]
+    cluster.delete(unplaced[0])
+    assert cluster.writes_absorbed == 4 and cluster.shard_rebuilds == 0
+
+    reference = ClusterEngine(relation, **options)
+    reference.shards = [
+        Shard(
+            s.shard_id,
+            s.relation,
+            s.global_ids,
+            index_class=s.index_class,
+            index_kwargs=s.index_kwargs,
+            engine_kwargs=s.engine_kwargs,
+        )
+        for s in cluster.shards
+    ]
+    ours, theirs = cluster.analytics(), reference.analytics()
+    placed = int(cluster.query(np.array([0.5, 0.5]), 1).ids[0])
+    targets = [absorbed[-1], unplaced[1], placed]
+    weights = np.array([[0.3, 0.7], [0.6, 0.4], [0.9, 0.1]])
+    for target in targets:
+        assert ours.reverse_topk(target, 3).intervals == (
+            theirs.reverse_topk(target, 3).intervals
+        )
+        assert np.array_equal(
+            ours.bichromatic(weights, 3, target).members,
+            theirs.bichromatic(weights, 3, target).members,
+        )
+        for w in weights:
+            a, b = ours.why_not(w, target, 3), theirs.why_not(w, target, 3)
+            for name in ("rank", "score", "kth_score", "in_top_k", "certificate",
+                         "feasible", "achieved_rank", "shard_beaters"):
+                assert getattr(a, name) == getattr(b, name), name
+            assert np.array_equal(a.perturbation, b.perturbation)
+    edits = [
+        TupleEdit("delete", tuple_id=placed),
+        TupleEdit("update", tuple_id=absorbed[0], values=np.array([0.01, 0.01])),
+        TupleEdit("insert", values=np.array([0.02, 0.5])),
+    ]
+    for edit in edits:
+        a = ours.what_if(weights[0], 3, edit=edit)
+        b = theirs.what_if(weights[0], 3, edit=edit)
+        for name in ("before_ids", "before_scores", "after_ids", "after_scores"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

@@ -1,6 +1,8 @@
 """ClusterEngine: bitwise equality with a single node, cost dominance,
 failover, caching, and routed maintenance — the PR's acceptance suite."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.cluster import ClusterEngine, FailingShard
 from repro.core import DLPlusIndex
 from repro.data import generate
 from repro.exceptions import InvalidQueryError
-from repro.relation import random_weight_vector
+from repro.relation import Relation, random_weight_vector
 from repro.serving import QueryEngine
 
 
@@ -308,22 +310,86 @@ def test_failed_shard_without_replica_degrades_to_partial(merge):
 
 
 def test_cache_hits_and_version_invalidation():
+    """Every write moves the version by one.  A write that changes an
+    answer drops the cache; one absorbed beyond the materialised layers
+    keeps it, and the kept answer is a rebuilt cluster's."""
     relation = generate("IND", 120, 3, seed=61)
-    cluster = ClusterEngine(relation, shards=2, cache_size=16)
+    options = dict(shards=2, index_kwargs={"max_layers": 3})
+    cluster = ClusterEngine(relation, cache_size=16, **options)
     w = np.array([0.2, 0.5, 0.3])
-    first = cluster.query(w, 5)
-    hit = cluster.query(w, 5)
+    first = cluster.query(w, 3)
+    hit = cluster.query(w, 3)
     assert hit.merge == "cache" and hit.cost == 0
     np.testing.assert_array_equal(hit.ids, first.ids)
     assert cluster.metrics.cache_hits == 1
 
+    def rebuilt(*rows):
+        grown = np.vstack([relation.matrix, *rows])
+        grown = Relation(grown, check_domain=False)
+        return ClusterEngine(grown, cache_size=0, **options).query(w, 3)
+
     version = cluster.version
-    gid = cluster.insert(np.array([0.5, 0.5, 0.5]))
+    worst = np.full(3, 0.999)  # dominated by a layer-3 tuple of its shard
+    cluster.insert(worst)
     assert cluster.version == version + 1
-    missed = cluster.query(w, 5)  # old entry invalidated by the bump
-    assert missed.merge != "cache"
-    cluster.delete(gid)
+    assert (cluster.writes_absorbed, cluster.shard_rebuilds) == (1, 0)
+    kept = cluster.query(w, 3)
+    assert kept.merge == "cache"
+    expected = rebuilt(worst)
+    assert kept.ids.tobytes() == expected.ids.tobytes()
+    assert kept.scores.tobytes() == expected.scores.tobytes()
+
+    # Half the k-th tuple's values dominate it: the answer changes.
+    better = relation.matrix[first.ids[-1]] / 2
+    gid = cluster.insert(better)
     assert cluster.version == version + 2
+    assert (cluster.writes_absorbed, cluster.shard_rebuilds) == (1, 1)
+    missed = cluster.query(w, 3)
+    assert missed.merge != "cache"
+    assert gid in missed.ids
+    expected = rebuilt(worst, better)
+    assert missed.ids.tobytes() == expected.ids.tobytes()
+    assert missed.scores.tobytes() == expected.scores.tobytes()
+    cluster.delete(gid)
+    assert cluster.version == version + 3
+
+
+def test_writes_that_flip_completeness_rebuild():
+    """Only an incomplete structure absorbs, and it must stay incomplete:
+    the delete of its last tuple beyond the materialised layers rebuilds
+    (a rebuilt shard is complete and answers k > max_layers), and so does
+    an insert below the last layer of a complete shard."""
+    from repro.exceptions import IndexCapacityError
+
+    rows = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.05, 0.5], [0.4, 0.4]])
+    cluster = ClusterEngine(
+        Relation(rows), shards=1, cache_size=0, index_kwargs={"max_layers": 3}
+    )
+    w = np.array([0.5, 0.5])
+    with pytest.raises(IndexCapacityError):
+        cluster.query(w, 4)
+    cluster.delete(4)  # (0.4, 0.4) was the only tuple beyond layer 3
+    assert (cluster.writes_absorbed, cluster.shard_rebuilds) == (0, 1)
+    assert cluster.query(w, 4).ids.tolist() == [0, 1, 3, 2]
+    cluster.insert(np.array([0.6, 0.6]))  # below the last layer
+    assert (cluster.writes_absorbed, cluster.shard_rebuilds) == (0, 2)
+    with pytest.raises(IndexCapacityError):
+        cluster.query(w, 4)
+
+
+def test_each_write_logs_one_debug_event(caplog):
+    relation = generate("IND", 120, 3, seed=61)
+    cluster = ClusterEngine(relation, shards=2, index_kwargs={"max_layers": 3})
+    with caplog.at_level(logging.DEBUG, logger="repro.cluster"):
+        gid = cluster.insert(np.full(3, 0.999))
+        cluster.delete(gid)
+        cluster.insert(np.full(3, 0.001))
+    messages = [r.getMessage() for r in caplog.records if r.name == "repro.cluster"]
+    assert len(messages) == 3
+    assert "insert on shard 0 absorbed" in messages[0]
+    assert "delete on shard 0 absorbed" in messages[1]
+    assert "insert on shard 1 rebuilt" in messages[2]  # id 121
+    assert all(message.endswith(" ms") for message in messages)
 
 
 def test_insert_routes_to_owner_and_is_servable():
@@ -353,6 +419,28 @@ def test_insert_routes_to_owner_and_is_servable():
         cluster.delete(gid)  # already gone
     with pytest.raises(InvalidQueryError):
         cluster.insert(np.array([0.5, 0.5]))  # wrong arity
+
+
+@pytest.mark.parametrize("bad_id", [3.5, np.float64(2.0), "3", None, True])
+def test_delete_rejects_non_integer_ids(bad_id):
+    relation = generate("IND", 30, 2, seed=5)
+    cluster = ClusterEngine(relation, shards=2)
+    with pytest.raises(InvalidQueryError):
+        cluster.delete(bad_id)
+    assert cluster.n == 30 and cluster.version == 1
+    cluster.delete(np.int64(3))  # numpy integers are ids
+    assert cluster.n == 29
+
+
+@pytest.mark.parametrize(
+    "bad_values", [["a", "b"], [0.5, None], [0.5, float("nan")], "ab"]
+)
+def test_insert_rejects_non_numeric_values(bad_values):
+    relation = generate("IND", 30, 2, seed=5)
+    cluster = ClusterEngine(relation, shards=2)
+    with pytest.raises(InvalidQueryError):
+        cluster.insert(bad_values)
+    assert cluster.n == 30 and cluster.version == 1
 
 
 def test_stats_aggregates_per_shard_metrics():

@@ -114,6 +114,16 @@ def test_invalid_operations(rng):
         index.delete(pid)
     with pytest.raises(InvalidQueryError):
         index.values_of(pid)
+    survivor = index.insert(np.array([0.4, 0.4]))
+    index.insert(np.array([0.3, 0.6]))
+    for bad_id in (True, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(InvalidQueryError):
+            index.delete(bad_id)  # True would silently delete id 1
+    with pytest.raises(InvalidQueryError):
+        index.insert(["a", "b"])
+    assert index.n == 2
+    index.delete(np.int64(survivor))
+    assert index.n == 1
     with pytest.raises(InvalidQueryError):
         DynamicDualLayerIndex(d=0)
 

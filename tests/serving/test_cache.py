@@ -77,6 +77,22 @@ def test_prune_drops_other_versions():
     assert cache.get(cache.make_key(w, 5, 2)) is not None
 
 
+def test_rekey_carries_one_version_and_keeps_lru_order():
+    cache = ResultCache(3)
+    w = np.array([0.3, 0.7])
+    for k, version in ((1, 1), (2, 2), (3, 2), (4, 2)):
+        cache.put(cache.make_key(w, k, version), *entry(k))
+    cache.get(cache.make_key(w, 2, 2))  # k=2 becomes most recent
+    assert cache.rekey(2, 3) == 3
+    assert cache.get(cache.make_key(w, 3, 2)) is None  # old key is gone
+    ids, _ = cache.get(cache.make_key(w, 3, 3))
+    assert ids.tolist() == entry(3)[0].tolist()
+    # LRU order survived: k=4 is now the oldest and is evicted first.
+    cache.put(cache.make_key(w, 5, 3), *entry(5))
+    assert cache.get(cache.make_key(w, 4, 3)) is None
+    assert cache.get(cache.make_key(w, 2, 3)) is not None
+
+
 def test_zero_capacity_disables_caching():
     cache = ResultCache(0)
     key = cache.make_key(np.array([0.5, 0.5]), 3, 0)

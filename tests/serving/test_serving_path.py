@@ -201,8 +201,15 @@ ENGINE_KEYS = {
     "native_built", "native_cached", "native_fallback",
 }
 #: The keys only ``ClusterEngine.stats()`` adds: the shard count, the
-#: roll-up of every shard registry, and each shard's own snapshot.
-CLUSTER_KEYS = {"num_shards", "shards", "per_shard"}
+#: writes absorbed and the shard rebuilds, the roll-up of every shard
+#: registry, and each shard's own snapshot.
+CLUSTER_KEYS = {
+    "num_shards",
+    "writes_absorbed",
+    "shard_rebuilds",
+    "shards",
+    "per_shard",
+}
 
 
 def test_stats_key_set_and_counters_are_pinned(index):
@@ -244,6 +251,8 @@ def test_stats_key_set_and_counters_are_pinned(index):
         if isinstance(engine, ClusterEngine):
             assert set(stats) == (STATS_KEYS - ENGINE_KEYS) | CLUSTER_KEYS | histogram
             expected["num_shards"] = 2.0
+            expected["writes_absorbed"] = 0.0  # this sequence never writes
+            expected["shard_rebuilds"] = 0.0
             # The threshold merge folds each computed row into every
             # shard's registry once, with that shard's cost: the roll-up
             # sums to the cluster's own Definition-9 total.
