@@ -12,7 +12,6 @@ variables:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -21,27 +20,13 @@ import numpy as np
 from repro.data import generate
 from repro.relation import Relation, random_weight_vector
 
-#: The suite-wide workload seed (the paper's publication date) — single
-#: source of truth for every bench module and committed report.
+#: The suite-wide workload seed (the paper's publication date).
 DEFAULT_SEED = 20120401
-
-#: The acceptance grid every timing suite draws its cells from
-#: (wallclock runs it in full; build/cluster benches run sub-grids).
-DEFAULT_DISTRIBUTIONS = ("IND", "ANT")
-DEFAULT_DIMS = (2, 4)
-DEFAULT_SIZES = (10_000, 100_000)
 
 
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
     return int(value) if value else default
-
-
-def write_report(report: dict, path: str) -> None:
-    """Write a benchmark report as pretty-printed JSON (shared by all suites)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,11 @@ Examples::
     repro-topk sql --data data.npz "SELECT * FROM r ORDER BY a0 + a1 STOP AFTER 5"
     repro-topk bench --experiment fig10
     repro-topk compare --distribution ANT --n 5000 --d 4 --k 10
-    repro-topk perf-bench --sizes 10000,100000 --out BENCH_query.json
-    repro-topk build-bench --sizes 100000 --parallel 4 --out BENCH_build.json
-    repro-topk cluster-bench --n 20000 --shards 2,4,8 --out BENCH_cluster.json
     repro-topk snapshot --index index.pkl --out index.snapshot
-    repro-topk snapshot-bench --n 100000 --out BENCH_snapshot.json
     repro-topk analytics why-not --index index.pkl --weights 0.7,0.3 --k 5 --target 8
     repro-topk analytics reverse --index index.pkl --k 5 --target 8
     repro-topk analytics what-if --index index.pkl --weights 0.7,0.3 --k 5 \
         --edit delete --target 8
-    repro-topk analytics-bench --n 10000 --out BENCH_analytics.json
 """
 
 from __future__ import annotations
@@ -50,14 +45,8 @@ def main(argv: list[str] | None = None) -> int:
         "analyze": _cmd_analyze,
         "advise": _cmd_advise,
         "sql": _cmd_sql,
-        "perf-bench": _cmd_perf_bench,
-        "bench-check": _cmd_bench_check,
-        "build-bench": _cmd_build_bench,
-        "cluster-bench": _cmd_cluster_bench,
         "snapshot": _cmd_snapshot,
-        "snapshot-bench": _cmd_snapshot_bench,
         "analytics": _cmd_analytics,
-        "analytics-bench": _cmd_analytics_bench,
     }[args.command]
     return handler(args)
 
@@ -110,117 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--table", default="r", help="table name used in the statement")
     sql.add_argument("statement", help="SELECT ... ORDER BY ... STOP AFTER k")
 
-    perf = commands.add_parser(
-        "perf-bench",
-        help="time index build + per-query latency, CSR kernel vs reference",
-    )
-    perf.add_argument(
-        "--distributions", default="IND,ANT", help="comma-separated, e.g. IND,ANT"
-    )
-    perf.add_argument("--dims", default="2,4", help="comma-separated dimensionalities")
-    perf.add_argument(
-        "--sizes", default="10000,100000", help="comma-separated cardinalities"
-    )
-    perf.add_argument("--k", type=int, default=10)
-    perf.add_argument(
-        "--queries", type=int, default=32, help="weight vectors timed per cell"
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=3, help="best-of repeats per (query, kernel)"
-    )
-    perf.add_argument("--algorithm", default="DL+", choices=sorted(ALGORITHMS))
-    perf.add_argument("--seed", type=int, default=20120401)
-    perf.add_argument(
-        "--batch-sizes",
-        default="1,8,32,128",
-        help="comma-separated lane counts for the batch-kernel sweep "
-        "(empty string disables the sweep)",
-    )
-    perf.add_argument(
-        "--out", default="BENCH_query.json", help="output JSON report path"
-    )
-
-    check = commands.add_parser(
-        "bench-check",
-        help="gate a fresh perf-bench/snapshot-bench/analytics-bench report "
-        "against a committed baseline",
-    )
-    check.add_argument("--fresh", required=True, help="freshly produced report")
-    check.add_argument(
-        "--baseline",
-        default="BENCH_query.json",
-        help="committed baseline report (a snapshot or analytics --fresh "
-        "report defaults to its own suite's committed baseline instead)",
-    )
-    check.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional p50/qps regression (default 0.25)",
-    )
-
-    buildb = commands.add_parser(
-        "build-bench",
-        help="profile Algorithm 1: reference vs vectorized vs parallel build",
-    )
-    buildb.add_argument(
-        "--distributions", default="IND", help="comma-separated, e.g. IND,ANT"
-    )
-    buildb.add_argument("--dims", default="4", help="comma-separated dimensionalities")
-    buildb.add_argument(
-        "--sizes", default="100000", help="comma-separated cardinalities"
-    )
-    buildb.add_argument("--max-layers", type=int, default=10)
-    buildb.add_argument(
-        "--parallel", type=int, default=4, help="worker count for the parallel mode"
-    )
-    buildb.add_argument(
-        "--algorithms", default="DL,DL+", help="comma-separated index names"
-    )
-    buildb.add_argument(
-        "--skip-reference",
-        action="store_true",
-        help="skip the per-node oracle build (smoke runs still check "
-        "sequential vs parallel equality)",
-    )
-    buildb.add_argument("--seed", type=int, default=20120401)
-    buildb.add_argument(
-        "--out", default="BENCH_build.json", help="output JSON report path"
-    )
-
-    clusterb = commands.add_parser(
-        "cluster-bench",
-        help="compare single-node vs sharded scatter-gather serving",
-    )
-    clusterb.add_argument(
-        "--distributions", default="IND,ANT", help="comma-separated, e.g. IND,ANT"
-    )
-    clusterb.add_argument(
-        "--shards", default="2,4,8", help="comma-separated shard counts"
-    )
-    clusterb.add_argument("--d", type=int, default=4)
-    clusterb.add_argument("--n", type=int, default=20000)
-    clusterb.add_argument("--k", type=int, default=10)
-    clusterb.add_argument(
-        "--queries", type=int, default=32, help="weight vectors served per cell"
-    )
-    clusterb.add_argument(
-        "--partitioner",
-        default="angular",
-        choices=("round-robin", "hash", "angular"),
-    )
-    clusterb.add_argument("--algorithm", default="DL+", choices=sorted(ALGORITHMS))
-    clusterb.add_argument("--seed", type=int, default=20120401)
-    clusterb.add_argument(
-        "--out", default="BENCH_cluster.json", help="output JSON report path"
-    )
-    clusterb.add_argument(
-        "--snapshot",
-        default=None,
-        help="snapshot cache directory: shard indexes found there are "
-        "re-opened instead of rebuilt (and written there on first run)",
-    )
-
     snap = commands.add_parser(
         "snapshot",
         help="persist a built index (or a relation build) as an mmap snapshot",
@@ -230,31 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     snap.add_argument("--algorithm", default="DL+", choices=sorted(ALGORITHMS))
     snap.add_argument("--max-layers", type=int, default=None)
     snap.add_argument("--out", required=True, help="output snapshot directory")
-
-    snapb = commands.add_parser(
-        "snapshot-bench",
-        help="benchmark snapshot cold-open, multi-process RSS, and "
-        "layer-bound pruning",
-    )
-    snapb.add_argument("--distribution", default="IND", help="IND|ANT|COR|CLU")
-    snapb.add_argument("--d", type=int, default=4)
-    snapb.add_argument("--n", type=int, default=100000)
-    snapb.add_argument(
-        "--ks", default="1,5,10,64", help="comma-separated retrieval sizes"
-    )
-    snapb.add_argument(
-        "--queries", type=int, default=24, help="weight vectors per cell"
-    )
-    snapb.add_argument(
-        "--workers",
-        default="1,2,4",
-        help="comma-separated SnapshotEngine worker counts",
-    )
-    snapb.add_argument("--algorithm", default="DL+", choices=sorted(ALGORITHMS))
-    snapb.add_argument("--seed", type=int, default=20120401)
-    snapb.add_argument(
-        "--out", default="BENCH_snapshot.json", help="output JSON report path"
-    )
 
     analytics = commands.add_parser(
         "analytics",
@@ -289,24 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analytics.add_argument(
         "--new-weights", default=None,
         help="comma-separated hypothetical weights for what-if",
-    )
-
-    analyticsb = commands.add_parser(
-        "analytics-bench",
-        help="benchmark reverse top-k screens, why-not, and region finding",
-    )
-    analyticsb.add_argument(
-        "--distributions", default="IND,ANT,COR", help="comma-separated"
-    )
-    analyticsb.add_argument("--d", type=int, default=3)
-    analyticsb.add_argument("--n", type=int, default=10000)
-    analyticsb.add_argument("--k", type=int, default=10)
-    analyticsb.add_argument(
-        "--queries", type=int, default=64, help="workload vectors per cell"
-    )
-    analyticsb.add_argument("--seed", type=int, default=20120401)
-    analyticsb.add_argument(
-        "--out", default="BENCH_analytics.json", help="output JSON report path"
     )
 
     compare = commands.add_parser(
@@ -462,108 +297,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_bench(args: argparse.Namespace) -> int:
-    from repro.bench.wallclock import (
-        run_wallclock,
-        validate_query_report,
-        write_report,
-    )
-
-    report = run_wallclock(
-        distributions=tuple(s for s in args.distributions.split(",") if s),
-        dims=tuple(int(s) for s in args.dims.split(",") if s),
-        sizes=tuple(int(s) for s in args.sizes.split(",") if s),
-        k=args.k,
-        queries=args.queries,
-        repeats=args.repeats,
-        seed=args.seed,
-        algorithm=args.algorithm,
-        batch_sizes=tuple(int(s) for s in args.batch_sizes.split(",") if s),
-        progress=print,
-    )
-    validate_query_report(report)
-    write_report(report, args.out)
-    print(f"wrote {len(report['cells'])} cells to {args.out}")
-    return 0
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    from repro.bench.regression import check_regression, load_report
-
-    fresh = load_report(args.fresh)
-    baseline_path = args.baseline
-    if baseline_path == "BENCH_query.json":
-        # The default baseline is the query suite's; other suites gate
-        # against their own committed baseline unless one was named.
-        suite_defaults = {
-            "snapshot": "BENCH_snapshot.json",
-            "analytics": "BENCH_analytics.json",
-        }
-        baseline_path = suite_defaults.get(fresh.get("suite"), baseline_path)
-    baseline = load_report(baseline_path)
-    failures = check_regression(fresh, baseline, tolerance=args.tolerance)
-    if failures:
-        print(f"bench-check FAILED ({len(failures)} issue(s)):")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(
-        f"bench-check OK: {args.fresh} vs {baseline_path} "
-        f"(tolerance {args.tolerance:.0%})"
-    )
-    return 0
-
-
-def _cmd_build_bench(args: argparse.Namespace) -> int:
-    from repro.bench.buildprof import (
-        run_build_bench,
-        validate_build_report,
-        write_report,
-    )
-
-    report = run_build_bench(
-        distributions=tuple(s for s in args.distributions.split(",") if s),
-        dims=tuple(int(s) for s in args.dims.split(",") if s),
-        sizes=tuple(int(s) for s in args.sizes.split(",") if s),
-        max_layers=args.max_layers,
-        parallel=args.parallel,
-        seed=args.seed,
-        algorithms=tuple(s for s in args.algorithms.split(",") if s),
-        include_reference=not args.skip_reference,
-        progress=print,
-    )
-    validate_build_report(report)
-    write_report(report, args.out)
-    print(f"wrote {len(report['cells'])} cells to {args.out}")
-    return 0
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from repro.bench.clusterbench import (
-        run_cluster_bench,
-        validate_cluster_report,
-        write_report,
-    )
-
-    report = run_cluster_bench(
-        distributions=tuple(s for s in args.distributions.split(",") if s),
-        shard_counts=tuple(int(s) for s in args.shards.split(",") if s),
-        d=args.d,
-        n=args.n,
-        k=args.k,
-        queries=args.queries,
-        partitioner=args.partitioner,
-        seed=args.seed,
-        algorithm=args.algorithm,
-        snapshot_dir=args.snapshot,
-        progress=print,
-    )
-    validate_cluster_report(report)
-    write_report(report, args.out)
-    print(f"wrote {len(report['cells'])} cells to {args.out}")
-    return 0
-
-
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.io.snapshot import save_snapshot, snapshot_nbytes
 
@@ -583,34 +316,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         f"wrote {index.name} snapshot "
         f"(n={index.relation.n}, d={index.relation.d}, "
         f"{snapshot_nbytes(path) / 1024:.0f} KiB) to {path}"
-    )
-    return 0
-
-
-def _cmd_snapshot_bench(args: argparse.Namespace) -> int:
-    from repro.bench.snapshotbench import (
-        run_snapshot_bench,
-        validate_snapshot_report,
-        write_report,
-    )
-
-    report = run_snapshot_bench(
-        distribution=args.distribution,
-        d=args.d,
-        n=args.n,
-        ks=tuple(int(s) for s in args.ks.split(",") if s),
-        queries=args.queries,
-        workers=tuple(int(s) for s in args.workers.split(",") if s),
-        algorithm=args.algorithm,
-        seed=args.seed,
-        progress=print,
-    )
-    validate_snapshot_report(report)
-    write_report(report, args.out)
-    print(
-        f"wrote snapshot report to {args.out} "
-        f"(cold open {report['open']['speedup']}x, "
-        f"best pruning {max(c['reduction_pct'] for c in report['pruning'])}%)"
     )
     return 0
 
@@ -679,32 +384,6 @@ def _cmd_analytics(args: argparse.Namespace) -> int:
     print(report.describe())
     for tid, score in zip(report.after_ids, report.after_scores):
         print(f"  {int(tid):>8}  {score:.6f}")
-    return 0
-
-
-def _cmd_analytics_bench(args: argparse.Namespace) -> int:
-    from repro.bench.analyticsbench import (
-        run_analytics_bench,
-        validate_analytics_report,
-        write_report,
-    )
-
-    report = run_analytics_bench(
-        distributions=tuple(s for s in args.distributions.split(",") if s),
-        d=args.d,
-        n=args.n,
-        k=args.k,
-        queries=args.queries,
-        seed=args.seed,
-        progress=print,
-    )
-    validate_analytics_report(report)
-    write_report(report, args.out)
-    print(
-        f"wrote {len(report['cells'])} cells to {args.out} "
-        f"(best walk-free resolution "
-        f"{report['summary']['best_resolved_without_walk_pct']}%)"
-    )
     return 0
 
 

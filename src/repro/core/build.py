@@ -34,7 +34,8 @@ per-layer dominance scans across the same pool.  Workers return
 :class:`~repro.core.structure.BuilderFragment` chunks that the parent merges
 in coarse-layer order; because ``freeze`` deduplicates edges and emits
 canonical CSR, the parallel structure is **array-equal** to the sequential
-one (asserted by the tier-1 tests and by ``build-bench``).
+one (asserted by the tier-1 tests; the last timing of the three builds is
+``git show 5b80d0f:BENCH_build.json``).
 
 The original per-node implementation is preserved verbatim as
 :mod:`repro.core.build_reference` and serves as the oracle.

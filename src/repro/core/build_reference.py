@@ -5,8 +5,9 @@ verbatim (per-node ``place`` calls, dict-based facet remap, dense
 ``dominance_matrix`` column walk, iterated ``sfs`` peel by default).  It is
 deliberately *slow and obvious*: the vectorized and parallel pipelines are
 asserted array-equal against it — same CSR indptr/indices, levels and seeds
-— by the tier-1 tests and by ``build-bench``, the same oracle discipline the
-query kernel uses with ``process_top_k_reference``.
+— by the tier-1 tests, the same oracle discipline the query kernel uses
+with ``process_top_k_reference``.  Its last timing against the pipeline
+is ``git show 5b80d0f:BENCH_build.json``.
 """
 
 from __future__ import annotations

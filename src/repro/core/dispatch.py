@@ -2,12 +2,14 @@
 
 Every kernel walks the same Algorithm 2 and returns bitwise-identical
 answers and Definition-9 counts, so dispatch only picks the fastest
-one.  BENCH_query.json (committed, full scale) sets the order:
+one.  The last full-scale kernel measurement sets the order
+(``git show 5b80d0f:BENCH_query.json``):
 
 * the **native** compiled kernel (``repro/core/native/`` — the C classic
   walk loaded via cffi ABI mode) wins every cell it supports at every
   batch width: one native walk per query beats the python lane-parallel
-  batch kernel's best per-query cost at any committed width up to B=128.  ``auto`` therefore
+  batch kernel's best per-query cost at any measured width up to B=128
+  (native 5.4-9.7x over csr, batch at most 5.0x).  ``auto`` therefore
   picks it whenever :func:`native_kernel_usable` holds, and
   :meth:`~repro.serving.QueryEngine.query_batch` sends each group to it
   in one call (:func:`~repro.core.native.native_walk_many`);
@@ -41,9 +43,10 @@ from repro.core.structure import LayerStructure
 from repro.exceptions import KernelUnavailableError
 
 #: Node-count threshold below which (at low d) the per-node reference
-#: kernel beats the vectorized CSR kernel. Calibrated from
-#: BENCH_query.json: csr loses at n=10k d=2 (0.89x/0.73x) but wins at
-#: n=100k d=2 (1.27x/1.16x); 32768 sits between the measured cells.
+#: kernel beats the vectorized CSR kernel. Calibrated from the last
+#: wall-clock report (``git show 5b80d0f:BENCH_query.json``): csr runs
+#: at 0.87x/0.71x of reference (IND/ANT) at n=10k d=2 and at
+#: 1.36x/0.98x at n=100k d=2; 32768 sits between the measured cells.
 #: Only consulted when the native kernel is unavailable.
 AUTO_SMALL_STRUCTURE_NODES = 32768
 
@@ -54,11 +57,12 @@ AUTO_SMALL_STRUCTURE_DIM = 2
 
 #: Minimum number of same-k query lanes before the lane-parallel batch
 #: kernel is dispatched on a host without the native kernel. Calibrated
-#: from BENCH_query.json's batch sweep: at B=8 the batch kernel already
-#: beats per-query csr on every committed cell, while B<8 round
+#: from the batch sweep of the last wall-clock report (``git show
+#: 5b80d0f:BENCH_query.json``): at B=8 the batch kernel already beats
+#: per-query csr on every cell (1.36-1.80x), while B<8 round
 #: overheads can lose on small cells. Never consulted when the native
 #: kernel is usable — one native walk per lane beats the batch kernel's
-#: per-query cost at every committed width.
+#: per-query cost at every measured width.
 AUTO_BATCH_MIN_LANES = 8
 
 #: Dimensionality ceiling for the native kernel's bitwise contract
@@ -69,7 +73,7 @@ NATIVE_DISPATCH_MAX_DIM = _native.NATIVE_MAX_DIM
 #: Node-count ceiling for the native kernel: structures at or above
 #: this size use an int64 gate-state template the C walker does not
 #: speak (2**30 nodes ~ 4 GiB of values alone — far beyond the
-#: committed bench grid).
+#: measured bench grid).
 NATIVE_DISPATCH_MAX_NODES = 2**30 - 1
 
 VALID_KERNELS = ("auto", "reference", "csr", "batch", "native")

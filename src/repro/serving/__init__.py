@@ -27,7 +27,6 @@ from repro.serving.cache import ResultCache
 from repro.serving.engine import QueryEngine, validate_k
 from repro.serving.gateway import AsyncGateway
 from repro.serving.metrics import MetricsRegistry, QueryRecord
-from repro.serving.snapshot_pool import SnapshotEngine
 
 __all__ = [
     "AsyncGateway",
@@ -35,6 +34,5 @@ __all__ = [
     "QueryEngine",
     "QueryRecord",
     "ResultCache",
-    "SnapshotEngine",
     "validate_k",
 ]

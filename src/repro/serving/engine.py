@@ -366,8 +366,9 @@ class QueryEngine(ServingLoop):
         ``"csr"``, ``"reference"``, and ``"batch"`` force one kernel
         unconditionally.  Every kernel returns bitwise-identical
         answers, so this switch only changes wall-clock behaviour — it
-        exists for A/B latency measurements (``repro-topk perf-bench``)
-        and for ruling individual kernels in or out when debugging.
+        exists for A/B latency measurements (the last full kernel
+        comparison is ``git show 5b80d0f:BENCH_query.json``) and for
+        ruling individual kernels in or out when debugging.
         ``"native"`` forces the compiled walker and raises
         :class:`~repro.exceptions.KernelUnavailableError` when it cannot
         be built (no C toolchain); shapes outside its bitwise contract

@@ -10,7 +10,7 @@ from repro.analytics.oracle import oracle_membership, oracle_top_k
 from repro.analytics.reverse import split_competitors
 from repro.core import DLIndex, DLPlusIndex
 from repro.data import generate
-from repro.relation import normalize_weights
+from repro.relation import normalize_weights, random_weight_vector
 from repro.serving import QueryEngine
 
 
@@ -147,6 +147,27 @@ def test_bichromatic_bitwise_vs_serving(distribution, d, index_class, rng):
             )
         assert result.walked == result.resolution.count("walk")
         assert 0.0 <= result.resolved_without_walk <= 1.0
+
+
+def test_bichromatic_screens_resolve_a_layer0_target_walk_free():
+    """The screens carry real weight: for a layer-0 target (the hardest
+    band — it sits in many top-k answers) at least 30% of a seeded
+    workload resolves without a walk, and every bit still equals the
+    served answer."""
+    seed = 20120401
+    engine = make_engine("IND", 2000, 3, DLPlusIndex, seed=seed)
+    analytics = AnalyticsEngine(engine)
+    weight_rng = np.random.default_rng(seed + 1)
+    raw = np.array([random_weight_vector(3, weight_rng) for _ in range(32)])
+    levels = engine.index.structure.coarse_levels[: engine.n]
+    layer0 = np.nonzero(levels == 0)[0]
+    target = int(layer0[np.random.default_rng(seed).integers(0, layer0.shape[0])])
+    k = 10
+    result = analytics.bichromatic(raw, k, target)
+    assert result.resolved_without_walk >= 0.30, result.resolution
+    for i in range(raw.shape[0]):
+        served = bool(np.isin(target, engine.query(raw[i], k).ids))
+        assert bool(result.members[i]) is served
 
 
 def test_bichromatic_hypothetical_target(rng):

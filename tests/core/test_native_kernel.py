@@ -483,3 +483,44 @@ def test_auto_engine_prefers_native_and_build_info_is_sane():
     info = build_info()
     assert info["status"] in ("built", "cached")
     assert info["path"].endswith((".so", ".dll"))
+
+
+@requires_native
+def test_native_holds_its_speedup_floor_over_csr():
+    """The compiled walk must keep paying for itself: on IND d=4 n=10k
+    at k=10, csr's median latency (best of 3 per query, warm
+    workspaces on both sides) is at least 1.3x native's."""
+    import time
+
+    from repro.core.query import QueryWorkspace
+
+    structure = DLPlusIndex(
+        generate("IND", 10_000, 4, seed=20120401), max_layers=10
+    ).build().structure
+    queries = [_weights(4, 900 + i) for i in range(32)]
+    csr_workspace, native_workspace = QueryWorkspace(), NativeWorkspace()
+
+    def csr(w):
+        return process_top_k(
+            structure, w, 10, AccessCounter(), workspace=csr_workspace
+        )
+
+    def nat(w):
+        return native_process_top_k(
+            structure, w, 10, AccessCounter(), workspace=native_workspace
+        )
+
+    def median_ms(kernel):
+        kernel(queries[0])  # warm the workspace and the seed block
+        best = []
+        for w in queries:
+            runs = []
+            for _ in range(3):
+                start = time.perf_counter()
+                kernel(w)
+                runs.append(time.perf_counter() - start)
+            best.append(min(runs))
+        return 1e3 * float(np.median(best))
+
+    ratio = median_ms(csr) / median_ms(nat)
+    assert ratio >= 1.3, f"native only {ratio:.2f}x over csr"
