@@ -1,11 +1,10 @@
-"""A live service: paging cursors, dynamic updates, and the index advisor.
+"""A live service: paging cursors and dynamic updates.
 
 Simulates an interactive deployment of the dual-resolution index:
 
-1. the advisor inspects the data and recommends an index;
-2. a user pages through results ("10 more") with a resumable cursor, paying
+1. a user pages through results ("10 more") with a resumable cursor, paying
    only the marginal gate-openings per page;
-3. hotels appear and disappear (price changes, sold-out rooms) through the
+2. hotels appear and disappear (price changes, sold-out rooms) through the
    dynamic index, which repairs its layers without re-peeling skylines.
 
 Run:  python examples/live_updates.py
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.advisor import recommend_index
 from repro.core import DLPlusIndex, DynamicDualLayerIndex, TopKCursor
 from repro.data.hotels import synthetic_hotels
 
@@ -23,16 +21,11 @@ from repro.data.hotels import synthetic_hotels
 def main() -> None:
     relation, _ = synthetic_hotels(8000, seed=13)
 
-    # --- 1. Ask the advisor ------------------------------------------- #
-    advice = recommend_index(relation, expected_k=10, queries_per_update=1e6)
-    print("advisor says:")
-    print(advice.describe())
-
-    # --- 2. Page through results with a cursor ------------------------ #
+    # --- 1. Page through results with a cursor ------------------------ #
     index = DLPlusIndex(relation, max_layers=40).build()
     weights = np.array([0.65, 0.35])  # price-conscious traveller
     cursor = TopKCursor(index.structure, weights)
-    print("\npaging with a resumable cursor (10 per page):")
+    print("paging with a resumable cursor (10 per page):")
     for page in range(3):
         ids, scores = cursor.fetch(10)
         print(f"  page {page + 1}: hotels {ids[:4].tolist()}... "
@@ -42,7 +35,7 @@ def main() -> None:
     print(f"  three pages cost {cursor.counter.total} evaluations; "
           f"a from-scratch top-30 costs {flat_cost}")
 
-    # --- 3. Dynamic inserts and deletes ------------------------------- #
+    # --- 2. Dynamic inserts and deletes ------------------------------- #
     print("\ndynamic maintenance (inserts and deletes, no re-peel):")
     dynamic = DynamicDualLayerIndex(d=2)
     rng = np.random.default_rng(7)

@@ -3,18 +3,20 @@
 Examples::
 
     repro-topk generate --distribution ANT --n 10000 --d 4 --out data.npz
-    repro-topk build --data data.npz --algorithm DL+ --out index.pkl
-    repro-topk query --index index.pkl --weights 0.4,0.3,0.2,0.1 --k 10
-    repro-topk analyze --index index.pkl --k 10
-    repro-topk advise --data data.npz --k 10 --queries-per-update 100
+    repro-topk build --data data.npz --algorithm DL+ --out index.snapshot
+    repro-topk query --index index.snapshot --weights 0.4,0.3,0.2,0.1 --k 10
+    repro-topk analyze --index index.snapshot --k 10
     repro-topk sql --data data.npz "SELECT * FROM r ORDER BY a0 + a1 STOP AFTER 5"
     repro-topk bench --experiment fig10
     repro-topk compare --distribution ANT --n 5000 --d 4 --k 10
-    repro-topk snapshot --index index.pkl --out index.snapshot
-    repro-topk analytics why-not --index index.pkl --weights 0.7,0.3 --k 5 --target 8
-    repro-topk analytics reverse --index index.pkl --k 5 --target 8
-    repro-topk analytics what-if --index index.pkl --weights 0.7,0.3 --k 5 \
+    repro-topk analytics why-not --index index.snapshot --weights 0.7,0.3 --k 5 --target 8
+    repro-topk analytics reverse --index index.snapshot --k 5 --target 8
+    repro-topk analytics what-if --index index.snapshot --weights 0.7,0.3 --k 5 \
         --edit delete --target 8
+
+Built indexes are snapshot directories (:mod:`repro.io.snapshot`), so
+``build`` takes the gate-graph algorithms only; ``compare`` and ``bench``
+build every baseline in-process.
 """
 
 from __future__ import annotations
@@ -29,7 +31,16 @@ from repro.bench.experiments import ALGORITHM_CLASSES, EXPERIMENTS
 from repro.bench.harness import build_index, measure_cost, run_sweep
 from repro.bench.reporting import format_series_table
 from repro.bench.workload import BenchConfig, Workload
-from repro.io import load_index, load_relation, save_index, save_relation
+from repro.io import (
+    load_relation,
+    open_snapshot,
+    save_relation,
+    save_snapshot,
+    snapshot_nbytes,
+)
+
+#: The algorithms whose indexes snapshot: the gate-graph classes.
+SNAPSHOT_ALGORITHMS = ("DG", "DG+", "DL", "DL+")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,9 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
         "compare": _cmd_compare,
         "analyze": _cmd_analyze,
-        "advise": _cmd_advise,
         "sql": _cmd_sql,
-        "snapshot": _cmd_snapshot,
         "analytics": _cmd_analytics,
     }[args.command]
     return handler(args)
@@ -65,14 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output .npz path")
 
-    build = commands.add_parser("build", help="build an index over a relation")
+    build = commands.add_parser(
+        "build", help="build an index over a relation and save it as a snapshot"
+    )
     build.add_argument("--data", required=True, help="relation .npz path")
-    build.add_argument("--algorithm", default="DL+", choices=sorted(ALGORITHMS))
+    build.add_argument("--algorithm", default="DL+", choices=SNAPSHOT_ALGORITHMS)
     build.add_argument("--max-layers", type=int, default=None)
-    build.add_argument("--out", required=True, help="output index .pkl path")
+    build.add_argument("--out", required=True, help="output snapshot directory")
 
     query = commands.add_parser("query", help="run one top-k query")
-    query.add_argument("--index", required=True, help="index .pkl path")
+    query.add_argument("--index", required=True, help="snapshot directory")
     query.add_argument("--weights", default=None, help="comma-separated weights")
     query.add_argument("--k", type=int, default=10)
 
@@ -84,30 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser(
         "analyze", help="profile a built layer index (structure, bounds)"
     )
-    analyze.add_argument("--index", required=True, help="index .pkl path")
+    analyze.add_argument("--index", required=True, help="snapshot directory")
     analyze.add_argument("--k", type=int, default=10)
-
-    advise = commands.add_parser(
-        "advise", help="recommend an index for a relation + workload"
-    )
-    advise.add_argument("--data", required=True, help="relation .npz path")
-    advise.add_argument("--k", type=int, default=10)
-    advise.add_argument("--queries-per-update", type=float, default=float("inf"))
 
     sql = commands.add_parser("sql", help="run a top-k SQL statement on a relation")
     sql.add_argument("--data", required=True, help="relation .npz path")
     sql.add_argument("--table", default="r", help="table name used in the statement")
     sql.add_argument("statement", help="SELECT ... ORDER BY ... STOP AFTER k")
-
-    snap = commands.add_parser(
-        "snapshot",
-        help="persist a built index (or a relation build) as an mmap snapshot",
-    )
-    snap.add_argument("--index", default=None, help="built index .pkl path")
-    snap.add_argument("--data", default=None, help="relation .npz path (builds)")
-    snap.add_argument("--algorithm", default="DL+", choices=sorted(ALGORITHMS))
-    snap.add_argument("--max-layers", type=int, default=None)
-    snap.add_argument("--out", required=True, help="output snapshot directory")
 
     analytics = commands.add_parser(
         "analytics",
@@ -117,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "mode", choices=("why-not", "reverse", "what-if"),
         help="which analytic question to answer",
     )
-    analytics.add_argument("--index", required=True, help="built index .pkl path")
+    analytics.add_argument("--index", required=True, help="snapshot directory")
     analytics.add_argument(
         "--weights", default=None,
         help="comma-separated query weights (why-not and what-if)",
@@ -170,14 +164,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.max_layers is not None:
         kwargs["max_layers"] = args.max_layers
     index = index_class(relation, **kwargs).build()
-    save_index(index, args.out)
-    stats = index.build_stats
-    print(f"{stats.describe()}; saved to {args.out}")
+    path = save_snapshot(index, args.out)
+    print(
+        f"{index.build_stats.describe()}; saved to {path} "
+        f"({snapshot_nbytes(path) / 1024:.0f} KiB)"
+    )
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    index = load_index(args.index)
+    index = open_snapshot(args.index)
     if args.weights:
         weights = np.asarray([float(x) for x in args.weights.split(",")])
     else:
@@ -249,29 +245,13 @@ def _run_build_experiment(config: BenchConfig) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.core.analysis import cost_bounds, profile_structure
 
-    index = load_index(args.index)
-    structure = getattr(index, "structure", None)
-    if structure is None:
-        print(f"{index.name} is not a gated layer index; nothing to profile")
-        return 1
+    index = open_snapshot(args.index)
+    structure = index.structure
     report = profile_structure(structure)
     print(f"{index.name} over n={index.relation.n}, d={index.relation.d}")
     print(report.describe())
     lower, upper = cost_bounds(structure, args.k)
     print(f"top-{args.k} cost bounds: {lower} <= cost <= {upper} tuples")
-    return 0
-
-
-def _cmd_advise(args: argparse.Namespace) -> int:
-    from repro.advisor import recommend_index
-
-    relation = load_relation(args.data)
-    advice = recommend_index(
-        relation,
-        expected_k=args.k,
-        queries_per_update=args.queries_per_update,
-    )
-    print(advice.describe())
     return 0
 
 
@@ -297,29 +277,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_snapshot(args: argparse.Namespace) -> int:
-    from repro.io.snapshot import save_snapshot, snapshot_nbytes
-
-    if (args.index is None) == (args.data is None):
-        print("snapshot: pass exactly one of --index or --data")
-        return 1
-    if args.index is not None:
-        index = load_index(args.index)
-    else:
-        relation = load_relation(args.data)
-        kwargs = {}
-        if args.max_layers is not None:
-            kwargs["max_layers"] = args.max_layers
-        index = ALGORITHMS[args.algorithm](relation, **kwargs).build()
-    path = save_snapshot(index, args.out)
-    print(
-        f"wrote {index.name} snapshot "
-        f"(n={index.relation.n}, d={index.relation.d}, "
-        f"{snapshot_nbytes(path) / 1024:.0f} KiB) to {path}"
-    )
-    return 0
-
-
 def _parse_vector(text: str | None, what: str) -> np.ndarray | None:
     if text is None:
         return None
@@ -333,7 +290,7 @@ def _cmd_analytics(args: argparse.Namespace) -> int:
     from repro.analytics import TupleEdit
     from repro.serving import QueryEngine
 
-    engine = QueryEngine(load_index(args.index), cache_size=0)
+    engine = QueryEngine(open_snapshot(args.index), cache_size=0)
     analytics = engine.analytics()
     weights = _parse_vector(args.weights, "--weights")
     values = _parse_vector(args.values, "--values")

@@ -155,16 +155,18 @@ class ClusterEngine(ServingLoop):
         ``merge`` property may be reassigned between calls and rejects
         any other value, as the constructor does.
     replicate:
-        Attach a serialization-hydrated replica to every shard.
+        Give every shard a replica: a second engine over the shard's
+        frozen index, which serves when the primary fails.
     snapshot_dir:
         When given, every shard lives at ``<snapshot_dir>/shard-<i>`` and
         is served mmap'd: a matching snapshot already on disk is re-opened
         *instead of rebuilding* (instant cluster restart/failover), a
         missing or stale one is built once and persisted.  Primaries'
-        arrays stay in the page cache and replicas hydrate by path instead
-        of pickle bytes.  The last cold-open measurement (``git show
+        arrays stay in the page cache, shared with their replicas.  The
+        last cold-open measurement (``git show
         5b80d0f:BENCH_snapshot.json``, IND d=4 n=100k) opened a snapshot
-        in 0.35 ms against 12.9 ms for the pickle.
+        in 0.35 ms, before :func:`~repro.io.open_snapshot` checked the
+        structure's id arrays.
     cache_size / quantize_decimals / latency_window:
         Coordinator result-cache and metrics knobs (as on
         :class:`~repro.serving.QueryEngine`).
@@ -288,7 +290,7 @@ class ClusterEngine(ServingLoop):
 
         The owning shard comes from the partitioner's routing rule
         (id-based for round-robin/hash, wedge lookup for angular).  The
-        shard absorbs the tuple or rebuilds its index (re-hydrating its
+        shard absorbs the tuple or rebuilds its index (re-attaching its
         replica if any); see the module docstring's Maintenance section.
         """
         values = validate_tuple(values, self.d)

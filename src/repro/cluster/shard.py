@@ -7,17 +7,13 @@ the *global* id space.  Shard engines run **uncached** by default: result
 caching lives at the cluster coordinator, so per-shard Definition 9 costs
 stay honest and the threshold merge's cost savings are measurable.
 
-Replicas are hydrated through the serialization round-trip
-(:func:`repro.io.index_to_bytes` / :func:`repro.io.index_from_bytes`) —
-exactly the bytes a real deployment would ship to a standby node — and are
-re-hydrated after every maintenance rebuild, so a failover can never serve
-a stale structure.  A shard made snapshot-backed via :meth:`Shard.snapshot_to`
-hydrates replicas *by path* instead: its primary is an mmap'd
-:class:`~repro.io.snapshot.SnapshotIndex`, whose pickle reduces to the
-snapshot path, so the very same round-trip ships a few bytes and the
-replica re-opens the shared page-cache copy — zero deserialization, zero
-duplicate arrays.  :class:`FailingShard` wraps a shard to inject the
-primary-node failure the coordinator's retry path is tested against.
+A replica is a second :class:`~repro.serving.QueryEngine`, with its own
+workspaces and metrics, over the primary's frozen, read-only index: one
+code path for in-memory and snapshot-backed shards, and no second copy of
+the arrays.  Every maintenance rebuild re-attaches it to the new index, so
+a failover can never serve a stale structure.  :class:`FailingShard`
+wraps a shard to inject the primary-node failure the coordinator's retry
+path is tested against.
 
 A write that cannot change any answer is *absorbed* (see
 :meth:`Shard.insert` / :meth:`Shard.delete`): only the live rows and
@@ -35,7 +31,7 @@ import numpy as np
 
 from repro.core.cursor import TopKCursor
 from repro.exceptions import InvalidQueryError, SerializationError, ShardFailedError
-from repro.io import index_from_bytes, index_to_bytes, open_snapshot
+from repro.io import open_snapshot
 from repro.io.snapshot import read_manifest, save_snapshot
 from repro.relation import Relation
 from repro.serving import QueryEngine
@@ -216,10 +212,10 @@ class Shard:
         The built index is written to ``directory`` with
         :func:`~repro.io.snapshot.save_snapshot` and the primary engine is
         re-pointed at the re-opened :class:`~repro.io.snapshot.SnapshotIndex`
-        — byte-identical arrays, now backed by the page cache.  Any replica
-        (current or future) hydrates by path for free: the snapshot index's
-        pickle *is* its path.  Maintenance rebuilds re-snapshot to the same
-        directory, so the path stays valid across mutations.
+        — byte-identical arrays, now backed by the page cache.  A replica
+        is re-attached to the opened snapshot.  Maintenance rebuilds
+        re-snapshot to the same directory, so the path stays valid across
+        mutations.
         """
         path = save_snapshot(self.engine.index, directory)
         self.snapshot_path = path
@@ -229,17 +225,13 @@ class Shard:
         return path
 
     def attach_replica(self) -> None:
-        """Hydrate (or re-hydrate) a replica from the primary's bytes.
+        """Attach (or re-attach) a replica engine over the primary's index.
 
-        The replica is a deserialized copy of the built primary index —
-        the same structure a standby node would load from shipped bytes —
-        behind its own engine, so failing over never re-pays the build.
+        The built index is frozen and read-only, so the replica shares it;
+        it gets its own engine (workspaces, metrics), so failing over
+        never re-pays the build.
         """
-        payload = index_to_bytes(self.engine.index)
-        replica_index = index_from_bytes(
-            payload, source=f"shard-{self.shard_id}-replica"
-        )
-        self.replica = QueryEngine(replica_index, **self.engine_kwargs)
+        self.replica = QueryEngine(self.engine.index, **self.engine_kwargs)
 
     @property
     def has_replica(self) -> bool:
@@ -421,7 +413,7 @@ class Shard:
         self.engine = self._build_engine(self.relation)
         if self.snapshot_path is not None:
             # Snapshot-backed shard: persist the new structure and keep
-            # serving mmap'd (also re-hydrates any replica by path).
+            # serving mmap'd (also re-attaches any replica).
             self.snapshot_to(self.snapshot_path)
         elif self.replica is not None:
             self.attach_replica()

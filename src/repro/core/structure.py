@@ -631,11 +631,11 @@ class LayerStructure:
         self.num_coarse_layers = num_coarse_layers
         self.complete = complete
         # Layer bound table (see :func:`compute_layer_bounds`).  Frozen
-        # builds pass it eagerly; old pickles and hand-built structures fall
-        # back to lazy computation in :meth:`layer_bound_table`.
+        # builds pass it eagerly; hand-built structures fall back to lazy
+        # computation in :meth:`layer_bound_table`.
         self._layer_bounds = layer_bounds
         # Sublayer-level bound table (see :func:`compute_sublayer_bounds`);
-        # same eager-at-freeze / lazy-for-old-pickles contract.
+        # eager at freeze, lazy for v1 snapshots and hand-built structures.
         self._sublayer_bounds = sublayer_bounds
         # Lazy "no (parent, child) pair carries both edge kinds" flag (see
         # :meth:`edges_disjoint`); benign to race on.
@@ -649,24 +649,6 @@ class LayerStructure:
         self._indptr_lists: tuple[list[int], list[int]] | None = None
         # Lazy fused gate-state template (see :meth:`gate_state_template`).
         self._gate_state: np.ndarray | None = None
-
-    def __getstate__(self) -> dict:
-        """Drop the lazily derived caches; they rebuild on first use."""
-        state = self.__dict__.copy()
-        state["_seed_values"] = None
-        state["_indptr_lists"] = None
-        state["_gate_state"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        state.setdefault("_seed_values", None)
-        state.setdefault("_indptr_lists", None)
-        state.setdefault("_gate_state", None)
-        # Pickles from before the layer bound table existed: recompute lazily.
-        state.setdefault("_layer_bounds", None)
-        state.setdefault("_sublayer_bounds", None)
-        state.setdefault("_edges_disjoint", None)
-        self.__dict__.update(state)
 
     @property
     def n_nodes(self) -> int:
@@ -724,8 +706,7 @@ class LayerStructure:
         indexing with Python ints is several times cheaper than numpy
         scalar extraction, so the kernel reads bounds from these lists and
         slices the flat index arrays with the resulting native ints.  Built
-        once per structure and shared by every query (excluded from pickles
-        and rebuilt on first use).
+        once per structure, on first use, and shared by every query.
         """
         cached = self._indptr_lists
         if cached is None:
@@ -745,8 +726,7 @@ class LayerStructure:
         the sentinel ``-1`` so it can never re-open.  Built once per
         structure (``int32`` unless the node count forces 64-bit) and
         ``copy()``-ed per query — one array copy instead of a counter copy
-        plus two boolean allocations.  Excluded from pickles and rebuilt on
-        first use.
+        plus two boolean allocations.
         """
         cached = self._gate_state
         if cached is None:
@@ -764,8 +744,9 @@ class LayerStructure:
         (with the kernel's own einsum contraction, so the rounding tree
         matches score computation) is a bitwise-safe lower bound on node
         ``v``'s score — the basis for the opt-in layer-bound skipping fast
-        path.  Computed at freeze time; old pickles rebuild it here on
-        first use (benign-race caching, like the other derived caches).
+        path.  Computed at freeze time; hand-built structures build it
+        here on first use (benign-race caching, like the other derived
+        caches).
         """
         cached = self._layer_bounds
         if cached is None:
@@ -780,10 +761,10 @@ class LayerStructure:
         """True when the bound tables were attached at freeze/open time.
 
         Dispatch consults this before choosing a pruning-dependent plan:
-        a structure without eager bounds (an old pickle, a hand-assembled
-        graph) *could* prune via the lazy rebuild, but the O(n log n)
-        first-use cost is the opposite of what ``prune=True`` promises, so
-        ``auto`` declines instead.
+        a structure without eager bounds (a hand-assembled graph) *could*
+        prune via the lazy rebuild, but the O(n log n) first-use cost is
+        the opposite of what ``prune=True`` promises, so ``auto`` declines
+        instead.
         """
         return self._layer_bounds is not None
 
@@ -791,9 +772,9 @@ class LayerStructure:
         """``(sublayer_of, sublayer_mins)`` — the coarse bound level.
 
         See :func:`compute_sublayer_bounds`.  Computed at freeze time;
-        v1 snapshots and old pickles rebuild it here on first use (the
-        table depends only on placements and values, so the lazy result is
-        identical to the freeze-time one).
+        v1 snapshots and hand-built structures build it here on first use
+        (the table depends only on placements and values, so the lazy
+        result is identical to the freeze-time one).
         """
         cached = self._sublayer_bounds
         if cached is None:

@@ -1,13 +1,6 @@
-"""Persistence: relations to npz/CSV, indexes to pickle or mmap snapshots."""
+"""Persistence: relations to npz, built indexes to mmap snapshots."""
 
-from repro.io.serialize import (
-    index_from_bytes,
-    index_to_bytes,
-    load_index,
-    load_relation,
-    save_index,
-    save_relation,
-)
+from repro.io.serialize import load_relation, save_relation
 from repro.io.snapshot import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
@@ -22,13 +15,9 @@ __all__ = [
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "SnapshotIndex",
-    "index_from_bytes",
-    "index_to_bytes",
-    "load_index",
     "load_relation",
     "open_snapshot",
     "read_manifest",
-    "save_index",
     "save_relation",
     "snapshot_nbytes",
     "save_snapshot",

@@ -1,27 +1,20 @@
-"""Saving and loading relations and built indexes.
+"""Saving and loading relations.
 
-Relations round-trip through ``.npz`` (matrix + attribute names).  Built
-indexes — layer structures, facet gates, zero layers — round-trip through
-pickle: the structures are plain numpy/python containers, and rebuilding a
-large index costs far more than deserializing it.
-
-Security note: ``load_index`` uses :mod:`pickle` and must only be fed files
-you produced yourself (the standard pickle caveat).
+A relation round-trips through ``.npz``: the matrix plus the attribute
+names as a unicode array.  Built indexes persist as mmap snapshots
+(:mod:`repro.io.snapshot`).  Neither format holds pickled objects, and
+:func:`load_relation` opens with ``allow_pickle=False``, so a crafted file
+can fail to load but cannot run code.
 """
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.base import TopKIndex
 from repro.exceptions import SerializationError
 from repro.relation import Relation, Schema
-
-#: Format marker stored in every index file.
-_MAGIC = "repro-index-v1"
 
 
 def _npz_path(path: str | Path) -> Path:
@@ -45,77 +38,22 @@ def save_relation(relation: Relation, path: str | Path) -> None:
     np.savez_compressed(
         path,
         matrix=relation.matrix,
-        attributes=np.asarray(relation.schema.attributes, dtype=object),
+        attributes=np.asarray(relation.schema.attributes, dtype=np.str_),
     )
 
 
 def load_relation(path: str | Path) -> Relation:
-    """Read a relation written by :func:`save_relation`."""
+    """Read a relation written by :func:`save_relation`.
+
+    Files whose ``attributes`` entry is an object array (the format before
+    names were stored as unicode) raise :class:`SerializationError`;
+    regenerate them.
+    """
     path = _npz_path(path)
     try:
-        with np.load(path, allow_pickle=True) as data:
+        with np.load(path, allow_pickle=False) as data:
             matrix = data["matrix"]
             attributes = tuple(str(a) for a in data["attributes"])
-    except (OSError, KeyError, ValueError, pickle.UnpicklingError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         raise SerializationError(f"cannot load relation from {path}: {exc}") from exc
     return Relation(matrix, Schema(attributes), check_domain=False)
-
-
-def index_to_bytes(index: TopKIndex) -> bytes:
-    """Serialize a *built* index to bytes (builds it first if needed).
-
-    The byte payload is identical to what :func:`save_index` writes to
-    disk; the cluster layer uses it to hydrate shard replicas without
-    touching the filesystem.
-    """
-    if not index._built:
-        index.build()
-    return pickle.dumps({"magic": _MAGIC, "index": index}, protocol=4)
-
-
-def index_from_bytes(payload_bytes: bytes, *, source: str = "<bytes>") -> TopKIndex:
-    """Deserialize an index produced by :func:`index_to_bytes` (trusted only)."""
-    try:
-        payload = pickle.loads(payload_bytes)
-    except (
-        pickle.UnpicklingError,
-        EOFError,
-        AttributeError,
-        ValueError,
-        TypeError,
-        IndexError,
-        ImportError,
-        MemoryError,
-        UnicodeDecodeError,
-    ) as exc:
-        # Truncated or garbage payloads surface far more than
-        # UnpicklingError: a cut-off varint raises EOFError, a corrupted
-        # opcode argument TypeError/IndexError/UnicodeDecodeError, a bogus
-        # length MemoryError, a renamed class AttributeError/ImportError.
-        # All of them mean "not a valid index payload".
-        raise SerializationError(f"cannot load index from {source}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
-        raise SerializationError(f"{source} is not a repro index file")
-    index = payload["index"]
-    if not isinstance(index, TopKIndex):
-        raise SerializationError(f"{source} does not contain a TopKIndex")
-    return index
-
-
-def save_index(index: TopKIndex, path: str | Path) -> None:
-    """Persist a *built* index (builds it first if needed)."""
-    path = Path(path)
-    payload = index_to_bytes(index)
-    with path.open("wb") as handle:
-        handle.write(payload)
-
-
-def load_index(path: str | Path) -> TopKIndex:
-    """Load an index written by :func:`save_index` (trusted files only)."""
-    path = Path(path)
-    try:
-        with path.open("rb") as handle:
-            payload_bytes = handle.read()
-    except OSError as exc:
-        raise SerializationError(f"cannot load index from {path}: {exc}") from exc
-    return index_from_bytes(payload_bytes, source=str(path))

@@ -18,26 +18,27 @@ workers are added, and restart/failover is an ``open()`` instead of a
 rebuild.  Every offset is padded to a 64-byte boundary so mmap'd rows
 stay aligned for vector loads (the mapping itself is page-aligned).
 
-Pickling an opened :class:`SnapshotIndex` reduces to its path: worker
-pools and shard replicas that would otherwise ship a full pickle of the
-structure (``index_to_bytes``) transparently re-open the snapshot in the
-receiving process instead — the zero-copy hydration path the cluster and
-serving tiers build on.  The obvious caveat applies: the path must be
-readable wherever the pickle lands (same machine or shared filesystem).
-
-Seed selectors are *not* pickled into the format.  Static seeds are an
+Seed selectors are stored as arrays, not objects.  Static seeds are an
 array; the only stateful selector the builders install — the 2-D
 weight-range binary search — is reconstructed from its two chain arrays
 (breakpoints are recomputed deterministically).  Unknown selector types
-are rejected at save time rather than smuggled through pickle.
+are rejected at save time.
 
-Like :mod:`repro.io.serialize`, snapshots are a trusted-input format:
-the data file holds raw numbers only (no pickled objects anywhere), so a
-corrupt or malicious snapshot can fail loudly but cannot execute code.
-Every manifest offset/extent is bounds-checked against the mapped file
-before a view is created, so a truncated ``data.bin`` raises
-:class:`~repro.exceptions.SerializationError` instead of SIGBUS-ing on
-first touch.
+The data file holds raw numbers only (no pickled objects anywhere), so
+a corrupt or malicious snapshot can fail loudly but cannot execute code.
+:func:`open_snapshot` checks everything a kernel reads before any kernel
+sees it, and raises :class:`~repro.exceptions.SerializationError` naming
+the offending array: every manifest offset and extent lies inside the
+mapped file (a truncated ``data.bin`` raises instead of SIGBUS-ing on
+first touch), every per-node array has one entry per node, each CSR row
+pointer runs monotonically from 0 to its index array's length, every node
+id, seed and chain id is in range, no static seed repeats, the gate
+counts agree with the edges, and every bound-table row id names a row of
+its table.  The native walker
+never bounds-checks a node id, so these checks are what keep a crafted
+snapshot from reading outside its arrays.  They do not detect an in-range
+value flipped to another in-range value; such a snapshot opens and may
+answer wrongly.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from repro.core.base import TopKIndex
 from repro.core.structure import LayerStructure
 from repro.core.zero_layer import PartitionSeedSelector
-from repro.exceptions import SerializationError
+from repro.exceptions import GeometryError, SerializationError
 from repro.geometry.weight_ranges import WeightRangePartition
 from repro.relation import Relation, Schema
 
@@ -93,6 +94,17 @@ _BOUND_BLOBS = ("bound_block_of", "bound_block_mins")
 #: per-sublayer per-attribute minima with the trailing -inf sentinel
 #: row) — the coarse level of the hierarchical pruning check.
 _SUBLAYER_BLOBS = ("bound_sublayer_of", "bound_sublayer_mins")
+#: Blobs holding node or row ids, cast to ``np.intp`` at open.
+_ID_BLOBS = (
+    "forall_indptr",
+    "forall_indices",
+    "exists_indptr",
+    "exists_indices",
+    "static_seeds",
+    "chain_ids",
+    "bound_block_of",
+    "bound_sublayer_of",
+)
 
 
 class SnapshotIndex(TopKIndex):
@@ -132,11 +144,6 @@ class SnapshotIndex(TopKIndex):
         from repro.core.query import process_top_k
 
         return process_top_k(self.structure, weights, k, counter)
-
-    def __reduce__(self):
-        # Pickling ships the *path*, not the arrays: the receiving process
-        # re-opens the snapshot and shares the page-cache copy.
-        return (open_snapshot, (str(self.path),))
 
 
 def _seed_selector_spec(structure: LayerStructure) -> tuple[dict, dict]:
@@ -322,6 +329,76 @@ def _as_index_dtype(array: np.ndarray) -> np.ndarray:
     return array.astype(np.intp)
 
 
+def _check_arrays(root: Path, arrays: dict[str, np.ndarray], n_real: int) -> None:
+    """Reject arrays that would send a kernel outside its buffers.
+
+    ``arrays`` holds the carved blobs, id arrays already cast to
+    ``np.intp``.  The walkers index ``values``, the gate state and the
+    bound tables by the ids these arrays hold, without checking them, so
+    every id must name a row that exists.
+    """
+
+    def fail(name: str, problem: str) -> None:
+        raise SerializationError(f"snapshot {root}: array {name!r} {problem}")
+
+    def check_range(name: str, low: int, high: int) -> None:
+        array = arrays[name]
+        if array.size and (array.min() < low or array.max() >= high):
+            fail(name, f"holds ids outside [{low}, {high})")
+
+    values = arrays["values"]
+    if values.ndim != 2:
+        fail("values", f"has shape {list(values.shape)}, not (nodes, d)")
+    n_nodes, d = values.shape
+    if not 0 <= n_real <= n_nodes:
+        fail("values", f"holds {n_nodes} nodes; n_real={n_real} is out of range")
+    per_node = ("forall_parent_count", "exists_gated", "coarse_levels", "fine_levels")
+    for name in per_node + ("bound_block_of", "bound_sublayer_of"):
+        if name in arrays and arrays[name].shape != (n_nodes,):
+            fail(name, f"has shape {list(arrays[name].shape)}, not [{n_nodes}]")
+    if arrays["exists_gated"].dtype != np.bool_:
+        fail("exists_gated", f"has dtype {arrays['exists_gated'].dtype}, not bool")
+    for name in ("forall_indices", "exists_indices", "static_seeds"):
+        if arrays[name].ndim != 1:
+            fail(name, "is not a vector")
+    for kind in ("forall", "exists"):
+        indptr, indices = arrays[f"{kind}_indptr"], arrays[f"{kind}_indices"]
+        if (
+            indptr.shape != (n_nodes + 1,)
+            or indptr[0] != 0
+            or indptr[-1] != indices.shape[0]
+            or np.any(indptr[1:] < indptr[:-1])
+        ):
+            fail(
+                f"{kind}_indptr",
+                f"is not a non-decreasing [{n_nodes + 1}] row pointer from 0 "
+                f"to {indices.shape[0]}",
+            )
+        check_range(f"{kind}_indices", 0, n_nodes)
+    check_range("static_seeds", 0, n_nodes)
+    # Each seed is pushed once per occurrence: repeats could overflow the
+    # walker's n_nodes-slot heap.
+    if np.unique(arrays["static_seeds"]).size != arrays["static_seeds"].size:
+        fail("static_seeds", "repeats a seed")
+    if "chain_ids" in arrays:
+        check_range("chain_ids", 0, n_real)
+    # The gate state counts down from these: they must match the edges.
+    counts = np.bincount(arrays["forall_indices"], minlength=n_nodes)
+    if not np.array_equal(counts, arrays["forall_parent_count"]):
+        fail("forall_parent_count", "disagrees with forall_indices")
+    gated = np.bincount(arrays["exists_indices"], minlength=n_nodes) > 0
+    if not np.array_equal(gated, arrays["exists_gated"]):
+        fail("exists_gated", "disagrees with exists_indices")
+    for of_name, mins_name in (_BOUND_BLOBS, _SUBLAYER_BLOBS):
+        if of_name not in arrays:
+            continue
+        mins = arrays[mins_name]
+        if mins.ndim != 2 or mins.shape[0] < 1 or mins.shape[1] != d:
+            fail(mins_name, f"has shape {list(mins.shape)}, not (rows >= 1, {d})")
+        # -1 marks an unplaced node: it maps to the trailing sentinel row.
+        check_range(of_name, -1, mins.shape[0])
+
+
 def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
     """Open a snapshot directory as a ready-to-query :class:`SnapshotIndex`.
 
@@ -329,84 +406,89 @@ def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
     every array is a read-only view at its manifest offset — no bytes are
     copied at open time, and pages are faulted in lazily as queries touch
     them.  ``mmap=False`` reads the data file into private memory (useful
-    when the snapshot will be replaced while open).
+    when the snapshot will be replaced while open).  The structure is
+    checked before it is returned (see the module docstring): the id
+    arrays, gate counts and bound tables are read once; ``values`` is not.
     """
     root = Path(path)
     manifest = read_manifest(root)
+    try:
+        n_real = int(manifest["n_real"])
+        n_nodes = int(manifest["n_nodes"])
+        num_coarse_layers = int(manifest["num_coarse_layers"])
+        complete = bool(manifest["complete"])
+        algorithm = str(manifest["algorithm"])
+        attributes = tuple(str(a) for a in manifest["attributes"])
+        selector_type = (manifest.get("seed_selector") or {"type": "static"})["type"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"snapshot {root}: manifest field missing or malformed: {exc!r}"
+        ) from exc
     buffer = _map_data(root, mmap=mmap)
 
-    def blob(name: str) -> np.ndarray:
-        return _carve_blob(root, manifest, buffer, name)
-
-    values = blob("values")
-    selector_entry = manifest.get("seed_selector") or {"type": "static"}
-    selector_type = selector_entry.get("type")
-    if selector_type == "static":
-        seed_selector = None
-    elif selector_type == "weight_range":
-        # Chain arrays are tiny: materialize them and rebuild the partition
-        # (breakpoints recompute deterministically from the points).
-        partition = WeightRangePartition(
-            np.array(blob("chain_points")),
-            _as_index_dtype(np.array(blob("chain_ids"))),
-        )
-        seed_selector = PartitionSeedSelector(partition)
-    else:
-        raise SerializationError(
-            f"snapshot {root} names unknown seed selector {selector_type!r}"
-        )
-
+    names = _STRUCTURE_BLOBS + _BOUND_BLOBS
     # v1 snapshots predate the sublayer table: open them with the blob
     # absent and let the structure recompute it lazily (the table depends
     # only on placements/values, so the lazy result is identical to a
     # freeze-time one — v1 answers stay bitwise-identical).
     if all(name in manifest["arrays"] for name in _SUBLAYER_BLOBS):
-        sublayer_bounds = (
-            _as_index_dtype(blob("bound_sublayer_of")),
-            blob("bound_sublayer_mins"),
+        names += _SUBLAYER_BLOBS
+    if selector_type == "weight_range":
+        names += ("chain_points", "chain_ids")
+    elif selector_type != "static":
+        raise SerializationError(
+            f"snapshot {root} names unknown seed selector {selector_type!r}"
         )
+    arrays = {name: _carve_blob(root, manifest, buffer, name) for name in names}
+    for name in _ID_BLOBS:
+        if name in arrays:
+            arrays[name] = _as_index_dtype(arrays[name])
+    _check_arrays(root, arrays, n_real)
+
+    if selector_type == "weight_range":
+        # Chain arrays are tiny: materialize them and rebuild the partition
+        # (breakpoints recompute deterministically from the points).
+        try:
+            partition = WeightRangePartition(
+                np.array(arrays["chain_points"]), np.array(arrays["chain_ids"])
+            )
+        except GeometryError as exc:
+            raise SerializationError(
+                f"snapshot {root}: array 'chain_points' is not a convex chain: {exc}"
+            ) from exc
+        seed_selector = PartitionSeedSelector(partition)
+    else:
+        seed_selector = None
+    if "bound_sublayer_of" in arrays:
+        sublayer_bounds = (arrays["bound_sublayer_of"], arrays["bound_sublayer_mins"])
     else:
         sublayer_bounds = None
 
+    values = arrays["values"]
     structure = LayerStructure(
-        values=values,
-        n_real=int(manifest["n_real"]),
-        forall_parent_count=blob("forall_parent_count"),
-        forall_indptr=_as_index_dtype(blob("forall_indptr")),
-        forall_indices=_as_index_dtype(blob("forall_indices")),
-        exists_gated=blob("exists_gated"),
-        exists_indptr=_as_index_dtype(blob("exists_indptr")),
-        exists_indices=_as_index_dtype(blob("exists_indices")),
-        static_seeds=_as_index_dtype(blob("static_seeds")),
+        **{name: arrays[name] for name in _STRUCTURE_BLOBS},
+        n_real=n_real,
         seed_selector=seed_selector,
-        coarse_levels=blob("coarse_levels"),
-        fine_levels=blob("fine_levels"),
-        num_coarse_layers=int(manifest["num_coarse_layers"]),
-        complete=bool(manifest["complete"]),
-        layer_bounds=(
-            _as_index_dtype(blob("bound_block_of")),
-            blob("bound_block_mins"),
-        ),
+        num_coarse_layers=num_coarse_layers,
+        complete=complete,
+        layer_bounds=(arrays["bound_block_of"], arrays["bound_block_mins"]),
         sublayer_bounds=sublayer_bounds,
     )
-    if structure.n_nodes != int(manifest["n_nodes"]):
+    if structure.n_nodes != n_nodes:
         raise SerializationError(
             f"snapshot {root}: values blob holds {structure.n_nodes} nodes, "
-            f"manifest says {manifest['n_nodes']}"
+            f"manifest says {n_nodes}"
         )
 
-    attributes = tuple(str(a) for a in manifest["attributes"])
     # The relation is a zero-copy view of the real rows of the mapped
     # values blob.  The trusted constructor skips the finiteness re-scan:
     # it would fault in every page of the mapping just to re-prove what
     # the normal constructor proved before the snapshot was written.
-    relation = Relation.wrap_unchecked(
-        values[: structure.n_real], Schema(attributes)
-    )
+    relation = Relation.wrap_unchecked(values[:n_real], Schema(attributes))
     return SnapshotIndex(
         relation,
         structure,
-        algorithm=str(manifest["algorithm"]),
+        algorithm=algorithm,
         path=root,
     )
 

@@ -157,12 +157,8 @@ def test_gate_state_template_encoding_and_cache():
     expected = structure.forall_parent_count.astype(np.int64).copy()
     expected[structure.exists_gated] += offset
     np.testing.assert_array_equal(state.astype(np.int64), expected)
-    # Cached: same object on repeat calls; survives pickling via rebuild.
+    # Cached: same object on repeat calls.
     assert structure.gate_state_template() is state
-    import pickle
-
-    clone = pickle.loads(pickle.dumps(structure))
-    np.testing.assert_array_equal(clone.gate_state_template(), state)
 
 
 def test_sublayer_bound_table_properties():
@@ -199,8 +195,8 @@ def test_sublayer_bound_table_properties():
 
 
 def test_sublayer_table_lazy_matches_freeze_time():
-    """A structure stripped of its frozen sublayer table (v1 pickle /
-    snapshot shape) recomputes it lazily with byte-identical bounds."""
+    """A structure stripped of its frozen sublayer table (the v1 snapshot
+    shape) recomputes it lazily with byte-identical bounds."""
     from repro.core import DLIndex
     from repro.core.structure import compute_sublayer_bounds
     from repro.data import generate
@@ -223,8 +219,8 @@ def test_sublayer_table_lazy_matches_freeze_time():
 
 
 def test_has_layer_bounds_flag():
-    """Structures frozen by the builder carry bounds; stripping them (old
-    pickles) flips the flag the dispatcher keys on."""
+    """Structures frozen by the builder carry bounds; stripping them (a
+    hand-built structure) flips the flag the dispatcher keys on."""
     from repro.core import DLPlusIndex
     from repro.data import generate
 

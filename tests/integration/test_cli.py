@@ -1,12 +1,31 @@
-"""End-to-end CLI: generate → build → query, plus compare."""
+"""End-to-end CLI: generate → build a snapshot → query, plus compare."""
 
+import numpy as np
+import pytest
 
 from repro.cli import main
+from repro.exceptions import SerializationError
+from repro.io import open_snapshot
+
+
+def _build(tmp_path, *, algorithm="DL+", n=200, d=3, distribution="IND"):
+    """Generate a relation and build it into a snapshot directory."""
+    data = tmp_path / "rel.npz"
+    index = tmp_path / "index.snapshot"
+    assert main([
+        "generate", "--distribution", distribution, "--n", str(n),
+        "--d", str(d), "--seed", "1", "--out", str(data),
+    ]) == 0
+    assert main([
+        "build", "--data", str(data), "--algorithm", algorithm,
+        "--out", str(index),
+    ]) == 0
+    return index
 
 
 def test_generate_build_query_pipeline(tmp_path, capsys):
     data = tmp_path / "rel.npz"
-    index = tmp_path / "index.pkl"
+    index = tmp_path / "index.snapshot"
 
     assert main([
         "generate", "--distribution", "ANT", "--n", "300", "--d", "3",
@@ -20,6 +39,7 @@ def test_generate_build_query_pipeline(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "DL+" in out
+    assert (index / "MANIFEST.json").exists()
 
     assert main([
         "query", "--index", str(index), "--weights", "0.4,0.3,0.3", "--k", "5",
@@ -30,10 +50,7 @@ def test_generate_build_query_pipeline(tmp_path, capsys):
 
 
 def test_query_with_random_weights(tmp_path, capsys):
-    data = tmp_path / "rel.npz"
-    index = tmp_path / "index.pkl"
-    main(["generate", "--n", "100", "--d", "2", "--out", str(data)])
-    main(["build", "--data", str(data), "--algorithm", "DG", "--out", str(index)])
+    index = _build(tmp_path, algorithm="DG", n=100, d=2)
     capsys.readouterr()
     assert main(["query", "--index", str(index), "--k", "3"]) == 0
     out = capsys.readouterr().out
@@ -50,10 +67,7 @@ def test_compare_command(capsys):
 
 
 def test_analyze_command(tmp_path, capsys):
-    data = tmp_path / "rel.npz"
-    index = tmp_path / "index.pkl"
-    main(["generate", "--n", "200", "--d", "3", "--out", str(data)])
-    main(["build", "--data", str(data), "--algorithm", "DL", "--out", str(index)])
+    index = _build(tmp_path, algorithm="DL")
     capsys.readouterr()
     assert main(["analyze", "--index", str(index), "--k", "5"]) == 0
     out = capsys.readouterr().out
@@ -61,15 +75,58 @@ def test_analyze_command(tmp_path, capsys):
     assert "cost bounds" in out
 
 
-def test_advise_command(tmp_path, capsys):
-    data = tmp_path / "rel.npz"
-    main(["generate", "--distribution", "ANT", "--n", "3000", "--d", "4",
-          "--out", str(data)])
+@pytest.fixture()
+def analytics_snapshot(tmp_path, capsys):
+    """A built 2-D snapshot and the top-1 tuple id under w = (0.5, 0.5)."""
+    index = _build(tmp_path, n=150, d=2)
+    top = int(open_snapshot(index).query(np.array([0.5, 0.5]), 1).ids[0])
     capsys.readouterr()
-    assert main(["advise", "--data", str(data), "--k", "10"]) == 0
+    return index, top
+
+
+def _analytics(index, mode, *extra):
+    return main(["analytics", mode, "--index", str(index), "--k", "3", *extra])
+
+
+def test_build_then_analytics_why_not(analytics_snapshot, capsys):
+    index, _ = analytics_snapshot
+    assert _analytics(index, "why-not", "--weights", "0.5,0.5", "--target", "26") == 0
+    assert "tuple 26 ranks" in capsys.readouterr().out
+
+
+def test_build_then_analytics_reverse(analytics_snapshot, capsys):
+    index, top = analytics_snapshot
+    assert _analytics(index, "reverse", "--target", str(top)) == 0
     out = capsys.readouterr().out
-    assert "recommended index:" in out
-    assert "rationale:" in out
+    assert f"tuple {top} is in the top-3 for w1 in [" in out
+
+
+def test_build_then_analytics_what_if(analytics_snapshot, capsys):
+    index, top = analytics_snapshot
+    assert _analytics(
+        index, "what-if", "--weights", "0.5,0.5", "--edit", "delete",
+        "--target", str(top),
+    ) == 0
+    assert f"exits {{{top}}}" in capsys.readouterr().out
+
+
+def test_build_rejects_an_algorithm_without_a_snapshot_form(tmp_path, capsys):
+    data = tmp_path / "rel.npz"
+    main(["generate", "--n", "50", "--d", "2", "--out", str(data)])
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "build", "--data", str(data), "--algorithm", "HL",
+            "--out", str(tmp_path / "index.snapshot"),
+        ])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'HL'" in capsys.readouterr().err
+
+
+def test_query_rejects_a_directory_that_is_not_a_snapshot(tmp_path):
+    not_a_snapshot = tmp_path / "plain"
+    not_a_snapshot.mkdir()
+    with pytest.raises(SerializationError):
+        main(["query", "--index", str(not_a_snapshot), "--k", "3"])
 
 
 def test_sql_command(tmp_path, capsys):
@@ -89,7 +146,7 @@ def test_sql_command(tmp_path, capsys):
 
 def test_build_with_max_layers(tmp_path, capsys):
     data = tmp_path / "rel.npz"
-    index = tmp_path / "index.pkl"
+    index = tmp_path / "index.snapshot"
     main(["generate", "--n", "200", "--d", "2", "--out", str(data)])
     assert main([
         "build", "--data", str(data), "--algorithm", "DL",

@@ -1,13 +1,18 @@
-"""Relation and index persistence."""
+"""Relation and index persistence (indexes persist as snapshots)."""
+
+import io
+import json
+import zipfile
 
 import numpy as np
 import pytest
 
-from repro.baselines import DGPlusIndex, HLPlusIndex
+from repro.baselines import DGPlusIndex
 from repro.core import DLIndex, DLPlusIndex
 from repro.data import generate, toy_hotels
 from repro.exceptions import SerializationError
-from repro.io import load_index, load_relation, save_index, save_relation
+from repro.io import load_relation, open_snapshot, save_relation, save_snapshot
+from repro.io.snapshot import MANIFEST_NAME
 
 
 def test_relation_roundtrip(tmp_path):
@@ -26,14 +31,12 @@ def test_relation_bad_file(tmp_path):
         load_relation(path)
 
 
-@pytest.mark.parametrize("cls", [DLIndex, DLPlusIndex, DGPlusIndex, HLPlusIndex])
+@pytest.mark.parametrize("cls", [DLIndex, DLPlusIndex, DGPlusIndex])
 def test_index_roundtrip_same_answers(cls, tmp_path, rng):
     relation = generate("IND", 150, 3, seed=2)
     index = cls(relation).build()
-    path = tmp_path / "index.pkl"
-    save_index(index, path)
-    loaded = load_index(path)
-    assert loaded.name == index.name
+    loaded = open_snapshot(save_snapshot(index, tmp_path / "index.snapshot"))
+    assert loaded.algorithm == index.name
     for _ in range(3):
         w = rng.dirichlet(np.ones(3))
         a = index.query(w, 5)
@@ -43,49 +46,47 @@ def test_index_roundtrip_same_answers(cls, tmp_path, rng):
 
 
 def test_index_roundtrip_2d_chain_zero_layer(tmp_path):
-    """The 2-D DL+ seed selector must survive pickling."""
+    """The 2-D DL+ seed selector must survive a snapshot."""
     index = DLPlusIndex(toy_hotels()).build()
-    path = tmp_path / "chain.pkl"
-    save_index(index, path)
-    loaded = load_index(path)
+    loaded = open_snapshot(save_snapshot(index, tmp_path / "chain.snapshot"))
     result = loaded.query(np.array([0.5, 0.5]), 1)
     assert result.cost == 1
 
 
 def test_save_unbuilt_index_builds_first(tmp_path):
     index = DLIndex(generate("IND", 50, 2, seed=3))
-    save_index(index, tmp_path / "i.pkl")
+    save_snapshot(index, tmp_path / "i.snapshot")
     assert index._built
 
 
 def test_index_bad_file(tmp_path):
-    path = tmp_path / "junk.pkl"
+    """A file where a snapshot directory belongs is rejected."""
+    path = tmp_path / "junk.snapshot"
     path.write_bytes(b"garbage")
     with pytest.raises(SerializationError):
-        load_index(path)
+        open_snapshot(path)
 
 
 def test_index_wrong_payload(tmp_path):
-    import pickle
-
-    path = tmp_path / "wrong.pkl"
-    path.write_bytes(pickle.dumps({"magic": "other"}))
-    with pytest.raises(SerializationError, match="not a repro index"):
-        load_index(path)
+    """A manifest that names another format is rejected."""
+    root = save_snapshot(DLIndex(generate("IND", 50, 2, seed=3)), tmp_path / "wrong")
+    manifest = json.loads((root / MANIFEST_NAME).read_text())
+    manifest["magic"] = "other"
+    (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(SerializationError, match="not a repro"):
+        open_snapshot(root)
 
 
 @pytest.mark.parametrize("cls", [DLIndex, DLPlusIndex])
 def test_csr_structure_roundtrip_exact(cls, tmp_path, rng):
-    """Regression: save/load must preserve every CSR field of the frozen
+    """Regression: save/open must preserve every CSR field of the frozen
     structure byte-for-byte, with exact dtypes — the vectorized kernel's
     fancy indexing silently degrades (or breaks on 32-bit indptr math) if a
     round-trip ever widens/narrows them."""
     relation = generate("ANT", 200, 3, seed=8)
     index = cls(relation).build()
     structure = index.structure
-    path = tmp_path / "csr.pkl"
-    save_index(index, path)
-    loaded = load_index(path)
+    loaded = open_snapshot(save_snapshot(index, tmp_path / "csr.snapshot"))
     restored = loaded.structure
 
     for name in (
@@ -108,15 +109,15 @@ def test_csr_structure_roundtrip_exact(cls, tmp_path, rng):
         assert restored.coarse_of.get(node) == structure.coarse_of.get(node)
         assert restored.fine_of.get(node) == structure.fine_of.get(node)
 
-    # The fused gate-state template is dropped by __getstate__ and must be
-    # rebuilt identically (same dtype, same values) on first use.
+    # The fused gate-state template is built from the mapped arrays on
+    # first use, identically (same dtype, same values).
     template = structure.gate_state_template()
+    assert restored._gate_state is None
     rebuilt = restored.gate_state_template()
-    assert restored._gate_state is not None  # was rebuilt, not unpickled
     assert rebuilt.dtype == template.dtype
     np.testing.assert_array_equal(rebuilt, template)
 
-    # And the loaded index answers bitwise-identically.
+    # And the opened index answers bitwise-identically.
     for _ in range(3):
         w = rng.dirichlet(np.ones(3))
         a = index.query(w, 12)
@@ -124,22 +125,6 @@ def test_csr_structure_roundtrip_exact(cls, tmp_path, rng):
         np.testing.assert_array_equal(a.ids, b.ids)
         assert a.scores.tobytes() == b.scores.tobytes()
         assert (a.counter.real, a.counter.pseudo) == (b.counter.real, b.counter.pseudo)
-
-
-def test_index_bytes_roundtrip_matches_file_roundtrip(rng):
-    """index_to_bytes/index_from_bytes (the replica-hydration path) are the
-    same payload save_index/load_index write to disk."""
-    from repro.io import index_from_bytes, index_to_bytes
-
-    relation = generate("IND", 120, 3, seed=6)
-    index = DLPlusIndex(relation).build()
-    clone = index_from_bytes(index_to_bytes(index))
-    w = rng.dirichlet(np.ones(3))
-    a, b = index.query(w, 7), clone.query(w, 7)
-    np.testing.assert_array_equal(a.ids, b.ids)
-    assert a.scores.tobytes() == b.scores.tobytes()
-    with pytest.raises(SerializationError):
-        index_from_bytes(b"garbage")
 
 
 def test_relation_roundtrip_without_suffix(tmp_path):
@@ -165,50 +150,35 @@ def test_relation_roundtrip_foreign_suffix(tmp_path):
     np.testing.assert_array_equal(loaded.matrix, relation.matrix)
 
 
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        b"",  # empty file
-        b"\x80",  # lone pickle protocol opcode, then EOF
-        b"not a pickle at all",
-        b"\x80\x04\x95\xff\xff\xff\xff",  # frame header promising 4GiB
-    ],
-    ids=["empty", "truncated-opcode", "garbage", "bogus-frame"],
-)
-def test_index_from_bytes_corrupt_payloads(corrupt):
-    """Every flavor of corruption maps to SerializationError — the except
-    clause must cover EOFError/ValueError/MemoryError etc., not just
-    UnpicklingError."""
-    from repro.io import index_from_bytes
+def test_relation_stores_names_without_objects(tmp_path):
+    """Attribute names are a unicode array, so the file opens without
+    pickle."""
+    relation = generate("IND", 20, 2, seed=9)
+    path = tmp_path / "rel.npz"
+    save_relation(relation, path)
+    with np.load(path, allow_pickle=False) as data:
+        assert data["attributes"].dtype.kind == "U"
 
+
+def _npy_with_pickle(pickled: bytes) -> bytes:
+    """An ``.npy`` object-array entry whose payload is ``pickled``."""
+    buffer = io.BytesIO()
+    header = {"descr": "|O", "fortran_order": False, "shape": (1,)}
+    np.lib.format.write_array_header_1_0(buffer, header)
+    return buffer.getvalue() + pickled
+
+
+def test_relation_with_pickled_names_raises_without_running_code(tmp_path):
+    """A crafted ``attributes`` entry that calls ``open(marker, "w")`` when
+    unpickled must be refused before it is unpickled."""
+    marker = tmp_path / "PWNED"
+    payload = f"cbuiltins\nopen\n(V{marker}\nVw\ntR.".encode()
+    matrix = io.BytesIO()
+    np.save(matrix, np.full((3, 2), 0.5))
+    path = tmp_path / "crafted.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("matrix.npy", matrix.getvalue())
+        archive.writestr("attributes.npy", _npy_with_pickle(payload))
     with pytest.raises(SerializationError):
-        index_from_bytes(corrupt)
-
-
-def test_index_from_bytes_truncated_valid_payload():
-    """A prefix of a real payload (a cut-short download) must also raise."""
-    from repro.io import index_from_bytes, index_to_bytes
-
-    payload = index_to_bytes(DLIndex(generate("IND", 60, 2, seed=7)).build())
-    for cut in (1, len(payload) // 2, len(payload) - 1):
-        with pytest.raises(SerializationError):
-            index_from_bytes(payload[:cut])
-
-
-def test_index_from_bytes_non_dict_payload():
-    import pickle
-
-    from repro.io import index_from_bytes
-
-    with pytest.raises(SerializationError, match="not a repro index"):
-        index_from_bytes(pickle.dumps([1, 2, 3]))
-
-
-def test_index_from_bytes_magic_without_index():
-    import pickle
-
-    from repro.io import index_from_bytes
-
-    payload = pickle.dumps({"magic": "repro-index-v1", "index": 42})
-    with pytest.raises(SerializationError, match="TopKIndex"):
-        index_from_bytes(payload)
+        load_relation(path)
+    assert not marker.exists()

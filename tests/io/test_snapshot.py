@@ -2,7 +2,6 @@
 
 import json
 import os
-import pickle
 import shutil
 import subprocess
 import sys
@@ -78,16 +77,6 @@ def test_snapshot_mmap_false_copies(tmp_path):
     root = save_snapshot(index, tmp_path / "snap")
     snap = open_snapshot(root, mmap=False)
     assert_same_answers(index.structure, snap.structure, 2)
-
-
-def test_snapshot_pickles_by_path(tmp_path):
-    """Pickling ships the path; unpickling re-opens the snapshot."""
-    index = DLPlusIndex(generate("IND", 200, 3, seed=8)).build()
-    snap = open_snapshot(save_snapshot(index, tmp_path / "snap"))
-    clone = pickle.loads(pickle.dumps(snap))
-    assert isinstance(clone, SnapshotIndex)
-    assert clone.path == snap.path
-    assert_same_answers(index.structure, clone.structure, 3)
 
 
 def test_save_unbuilt_index_builds_first(tmp_path):
@@ -247,6 +236,174 @@ def test_partial_snapshot_without_manifest_rejected(snapshot_dir, tmp_path):
     shutil.copy(snapshot_dir / DATA_NAME, root / DATA_NAME)
     with pytest.raises(SerializationError):
         open_snapshot(root)
+
+
+# --------------------------------------------------------------------- #
+# Structural checks: a correctly sized snapshot whose id arrays point
+# outside their targets is rejected at open, before any kernel reads it.
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def chain_snapshot_dir(tmp_path):
+    """A 2-D DL+ snapshot: the one shape that carries ``chain_ids``."""
+    index = DLPlusIndex(generate("IND", 150, 2, seed=12)).build()
+    return save_snapshot(index, tmp_path / "chain")
+
+
+def _id_range(manifest, name):
+    """``[low, high)``: the values ``name`` may hold in this snapshot."""
+    arrays = manifest["arrays"]
+    if name.endswith("_indptr"):
+        return 0, arrays[name.replace("indptr", "indices")]["shape"][0] + 1
+    if name == "chain_ids":
+        return 0, manifest["n_real"]
+    if name.startswith("bound_"):
+        return -1, arrays[name.replace("_of", "_mins")]["shape"][0]
+    return 0, manifest["n_nodes"]
+
+
+def _poke(root, name, position, value):
+    """Overwrite one element of blob ``name`` inside the data file."""
+    entry = read_manifest(root)["arrays"][name]
+    blob = np.memmap(
+        root / DATA_NAME,
+        dtype=np.dtype(entry["dtype"]),
+        mode="r+",
+        offset=entry["offset"],
+        shape=tuple(entry["shape"]),
+    )
+    blob.reshape(-1)[position] = value
+    blob.flush()
+    del blob
+
+
+_ID_BLOB_NAMES = (
+    "forall_indptr",
+    "forall_indices",
+    "exists_indptr",
+    "exists_indices",
+    "static_seeds",
+    "chain_ids",
+    "bound_block_of",
+    "bound_sublayer_of",
+)
+
+
+@pytest.mark.parametrize("side", ["past-the-end", "negative"])
+@pytest.mark.parametrize("name", _ID_BLOB_NAMES)
+def test_open_rejects_out_of_range_ids(
+    name, side, snapshot_dir, chain_snapshot_dir, tmp_path
+):
+    source = chain_snapshot_dir if name == "chain_ids" else snapshot_dir
+    root = _copy(source, tmp_path, "c")
+    manifest = read_manifest(root)
+    low, high = _id_range(manifest, name)
+    length = manifest["arrays"][name]["shape"][0]
+    assert length > 0, f"fixture snapshot has an empty {name}"
+    _poke(root, name, length // 2, high if side == "past-the-end" else low - 1)
+    with pytest.raises(SerializationError, match=name):
+        open_snapshot(root)
+
+
+@pytest.mark.parametrize(
+    "field", ["n_real", "num_coarse_layers", "complete", "algorithm", "attributes"]
+)
+def test_open_rejects_missing_manifest_field(field, snapshot_dir, tmp_path):
+    root = _copy(snapshot_dir, tmp_path, "c")
+    _edit_manifest(root, lambda m: m.pop(field))
+    with pytest.raises(SerializationError, match=field):
+        open_snapshot(root)
+
+
+def test_open_rejects_chain_points_out_of_order(chain_snapshot_dir, tmp_path):
+    root = _copy(chain_snapshot_dir, tmp_path, "c")
+    _poke(root, "chain_points", 0, 5.0)  # first x now beyond every other
+    with pytest.raises(SerializationError, match="chain_points"):
+        open_snapshot(root)
+
+
+def test_open_rejects_repeated_static_seed(tmp_path):
+    """Every occurrence of a seed is pushed, so repeats could overflow the
+    native walker's heap."""
+    index = DLPlusIndex(generate("IND", 300, 4, seed=3)).build()
+    root = save_snapshot(index, tmp_path / "snap")
+    seeds = read_manifest(root)["arrays"]["static_seeds"]
+    assert seeds["shape"][0] >= 2
+    _poke(root, "static_seeds", 1, int(index.structure.static_seeds[0]))
+    with pytest.raises(SerializationError, match="static_seeds"):
+        open_snapshot(root)
+
+
+def test_open_rejects_gate_count_disagreeing_with_edges(snapshot_dir, tmp_path):
+    root = _copy(snapshot_dir, tmp_path, "c")
+    counts = open_snapshot(snapshot_dir).structure.forall_parent_count
+    _poke(root, "forall_parent_count", 0, int(counts[0]) + 1)
+    with pytest.raises(SerializationError, match="forall_parent_count"):
+        open_snapshot(root)
+
+
+def test_open_rejects_exists_flag_disagreeing_with_edges(snapshot_dir, tmp_path):
+    root = _copy(snapshot_dir, tmp_path, "c")
+    gated = open_snapshot(snapshot_dir).structure.exists_gated
+    _poke(root, "exists_gated", 0, not bool(gated[0]))
+    with pytest.raises(SerializationError, match="exists_gated"):
+        open_snapshot(root)
+
+
+def test_open_rejects_short_per_node_array(snapshot_dir, tmp_path):
+    """A per-node array one entry short would let a kernel read past it."""
+    root = _copy(snapshot_dir, tmp_path, "c")
+
+    def shorten(manifest):
+        entry = manifest["arrays"]["bound_block_of"]
+        entry["shape"] = [entry["shape"][0] - 1]
+        entry["nbytes"] -= np.dtype(entry["dtype"]).itemsize
+
+    _edit_manifest(root, shorten)
+    with pytest.raises(SerializationError, match="bound_block_of"):
+        open_snapshot(root)
+
+
+_SEED_FLIP_CHILD = """
+import sys
+import numpy as np
+from repro.exceptions import SerializationError
+from repro.io import open_snapshot
+from repro.serving import QueryEngine
+
+try:
+    snap = open_snapshot(sys.argv[1])
+except SerializationError as exc:
+    print("rejected:", exc)
+else:
+    engine = QueryEngine(snap, cache_size=0, kernel="native")
+    engine.query(np.array([0.2, 0.5, 0.3]), 10)
+    print("served")
+"""
+
+
+def test_flipped_static_seed_is_rejected_before_the_native_walk(tmp_path):
+    """One static seed set to 10,000,000 in an otherwise valid snapshot
+    used to open cleanly and crash the native walker (SIGSEGV).  The
+    child process opens it and, if it opens, queries natively; a crash
+    fails this test instead of killing the test run."""
+    index = DLPlusIndex(generate("IND", 2000, 3, seed=1)).build()
+    root = save_snapshot(index, tmp_path / "snap")
+    _poke(root, "static_seeds", 0, 10_000_000)
+
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[2] / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEED_FLIP_CHILD, str(root)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert "rejected:" in proc.stdout and "static_seeds" in proc.stdout
 
 
 # --------------------------------------------------------------------- #
