@@ -13,6 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ReproError
+from repro.geometry.scale import power_of_two_scale
+
+#: Lloyd's iterations stop once no centroid moves by more than this squared
+#: distance, measured on the points scaled to peak in [0.5, 1).
+_STOP_TOL = 1e-8
 
 
 @dataclass
@@ -48,12 +53,13 @@ def kmeans(
     *,
     seed: int | np.random.Generator | None = None,
     max_iterations: int = 100,
-    tol: float = 1e-8,
 ) -> KMeansResult:
     """Cluster ``points`` into at most ``k`` groups.
 
     Uses k-means++ seeding and Lloyd's iterations until centroid movement
-    falls below ``tol`` or ``max_iterations`` is hit.  ``k`` is clamped to
+    falls below :data:`_STOP_TOL` relative to the points' magnitude or
+    ``max_iterations`` is hit, so scaling the points by a power of two
+    scales the centroids and keeps the labels.  ``k`` is clamped to
     the number of distinct points; empty clusters are dropped and labels
     re-compacted, so every returned cluster is non-empty.
     """
@@ -66,6 +72,8 @@ def kmeans(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     k = min(k, n)
 
+    # Squared movements scale with the square of a power-of-two rescaling.
+    stop = _STOP_TOL / power_of_two_scale(points) ** 2
     centroids = _seed_plusplus(points, k, rng)
     labels = np.zeros(n, dtype=np.intp)
     iterations = 0
@@ -80,7 +88,7 @@ def kmeans(
             new_center = members.mean(axis=0)
             moved = max(moved, float(np.sum((new_center - centroids[c]) ** 2)))
             centroids[c] = new_center
-        if moved <= tol:
+        if moved <= stop:
             break
 
     # Drop empty clusters and compact labels.

@@ -10,19 +10,25 @@ The assignment is geometric, not search-by-LP:
 
 1. **Single-point cover** — a previous-sublayer point that weakly dominates
    the member is a one-point EDS (``λ = 1``); found for every member with
-   one vectorized comparison.  (Rare between sublayers of one skyline layer,
-   common for pseudo-tuple sets.)
+   one exact vectorized comparison.  (Rare between sublayers of one skyline
+   layer, common for pseudo-tuple sets.)
 2. **Ray shooting** — ``P = conv(L^{ij}) + R₊^d`` is exactly the
    intersection of its lower facets' half-spaces, so the downward ray
    ``t' - s·(1,...,1)`` exits ``P`` at ``s* = min_f s_f`` where
    ``s_f = (n_f·t' + o_f) / (n_f·1)``, and the exit point lies on the argmin
-   facet.  A ``d×d`` barycentric solve confirms containment; the exit point
-   itself is the witness ``t^V`` (it dominates ``t'`` by construction).
-   Near-ties try the next few facets.
-3. **LP fallback** — one feasibility LP over *all* sublayer points
-   (``λ ≥ 0, Σλ = 1, Pᵀλ ≤ t'``); its vertex solution's support (≤ d+1
-   points by Carathéodory) becomes the EDS.  Sound, because Lemma 2 only
-   needs the virtual tuple to be a convex combination of the parents.
+   facet; the exit point itself is the witness ``t^V`` (it dominates ``t'``
+   by construction).  Near-tied exits take the union of the tied facets.
+3. **LP fallback** — one LP over *all* sublayer points finds the
+   least-violating combination (``λ ≥ 0, Σλ = 1, Pᵀλ ≤ t' + s·1``); its
+   vertex solution's support (≤ d+1 points by Carathéodory) becomes the
+   EDS.  Sound, because Lemma 2 only needs the virtual tuple to be a convex
+   combination of the parents.
+
+Rungs 2 and 3 compare floats against fixed thresholds.  They run on the
+points, targets and facet offsets multiplied by one power of two
+(:func:`~repro.geometry.scale.power_of_two_scale`), which is exact, so the
+thresholds act relative to the data's magnitude and the assignment is the
+same at every power-of-two scale.
 
 Coverage is guaranteed geometrically — every non-CSKY member of a mutually
 non-dominated set lies in ``conv(CSKY) + R₊^d`` — and enforced at build
@@ -36,20 +42,21 @@ from scipy.optimize import linprog
 
 from repro.exceptions import IndexConstructionError
 from repro.geometry.facets import Facet
-from repro.geometry.feasibility import DEFAULT_TOL
+from repro.geometry.scale import power_of_two_scale
 
-#: How many near-minimal facets the ray fast path tries before the LP.
-_RAY_CANDIDATES = 6
-#: Barycentric slack: coordinates above -_BARY_TOL count as inside.
-_BARY_TOL = 1e-7
-#: Acceptance ceiling for the min-violation LP fallback.  Coverage between
-#: adjacent sublayers is geometrically guaranteed, but HiGHS reports the
+#: Ray slack, on data scaled to peak in [0.5, 1): exit parameters above
+#: ``-_RAY_TOL`` count as on or above the hull, and exits within it of the
+#: minimum are near-ties.
+_RAY_TOL = 1e-9
+#: Slack of the ray exit's necessary condition (the exit facet's
+#: componentwise minimum must sit below the target).
+_RAY_MIN_TOL = 1e-7
+#: Acceptance ceiling for the min-violation LP.  Coverage between adjacent
+#: sublayers is geometrically guaranteed, but HiGHS reports the
 #: least-violating combination with its own feasibility tolerance on top of
-#: float accumulation over the sublayer matrix — narrow directional subsets
-#: (e.g. angular cluster shards) land a few multiples of _BARY_TOL away from
-#: exact.  1e-6 stays at numerical-noise scale for data in [0, 1]^d while
-#: still rejecting any genuinely uncovered target by many orders of
-#: magnitude.
+#: float accumulation over the sublayer matrix; on data scaled to peak in
+#: [0.5, 1) that is numerical noise far below this ceiling, while a
+#: genuinely uncovered target misses by many orders of magnitude more.
 _LP_VIOLATION_TOL = 1e-6
 
 
@@ -57,7 +64,6 @@ def assign_covering_facets(
     prev_points: np.ndarray,
     prev_facets: list[Facet],
     target_points: np.ndarray,
-    tol: float = DEFAULT_TOL,
 ) -> list[np.ndarray]:
     """For each target, indices (into ``prev_points``) of its EDS parents.
 
@@ -73,10 +79,15 @@ def assign_covering_facets(
     if prev_points.shape[0] == 0:
         raise IndexConstructionError("cannot cover targets from an empty sublayer")
 
-    # Fast path 1: single-point weak dominator per target (vectorized).
-    bounds = target_points + tol
-    weak = np.all(prev_points[:, None, :] <= bounds[None, :, :], axis=2)
+    # Fast path 1: single-point weak dominator per target (vectorized, exact).
+    weak = np.all(prev_points[:, None, :] <= target_points[None, :, :], axis=2)
     single_parent = np.where(np.any(weak, axis=0), np.argmax(weak, axis=0), -1)
+
+    # The remaining rungs threshold floats: run them on the data scaled to
+    # peak in [0.5, 1), exactly, so the thresholds are relative to it.
+    scale = power_of_two_scale(prev_points, target_points)
+    prev_points = prev_points * scale
+    target_points = target_points * scale
 
     # Exit-facet machinery: P = conv(sublayer) + R₊^d is exactly the
     # intersection of its facet half-spaces (pure *and* sentinel-mixed), so
@@ -87,7 +98,7 @@ def assign_covering_facets(
     equipped = [f for f in prev_facets if f.normal is not None]
     if equipped:
         normals = np.vstack([f.normal for f in equipped])  # (f, d)
-        offsets = np.asarray([f.offset for f in equipped])
+        offsets = np.asarray([f.offset for f in equipped]) * scale
         denom = normals.sum(axis=1)  # n·1, strictly negative for lower facets
         usable = denom < -1e-9
         normals, offsets, denom = normals[usable], offsets[usable], denom[usable]
@@ -105,7 +116,7 @@ def assign_covering_facets(
     # sorted member set so hit targets share one array per facet.
     if ray_ready:
         ray_hit, exit_facet = _batched_exit_facets(
-            target_points, normals, offsets, denom, mins, tol
+            target_points, normals, offsets, denom, mins
         )
         unique_members: dict[int, np.ndarray] = {}
 
@@ -124,27 +135,21 @@ def assign_covering_facets(
             continue
         target = target_points[t]
         chosen = _exit_facet_members(
-            target, equipped, normals, offsets, denom, mins, tol
+            target, equipped, normals, offsets, denom, mins
         ) if ray_ready else None
-        if chosen is None:
-            # Slow path: pure-facet ray + exact containment, then one LP
-            # over the whole sublayer whose vertex support becomes the EDS.
-            chosen = _verified_cover(prev_points, equipped, target, tol)
-        if chosen is None:
-            chosen = _lp_support(prev_points, target + tol)
         if chosen is None:
             # Boundary-degenerate targets (domain-clamped coordinates at
             # large anti-correlated scale, or narrow directional subsets)
             # can make HiGHS call a geometrically guaranteed cover
-            # infeasible.  Solve for the least-violating combination
-            # instead and accept it at numerical-noise scale.
+            # infeasible, so solve for the least-violating combination and
+            # accept it at numerical-noise scale.
             chosen = _lp_min_violation_support(
-                prev_points, target + tol, max_violation=_LP_VIOLATION_TOL
+                prev_points, target, max_violation=_LP_VIOLATION_TOL
             )
         if chosen is None:
             raise IndexConstructionError(
                 "∃-dominance coverage violated: no convex combination of "
-                f"the previous sublayer dominates target {target.tolist()}"
+                f"the previous sublayer dominates target {(target / scale).tolist()}"
             )
         assignments.append(np.asarray(chosen, dtype=np.intp))
     return assignments
@@ -161,7 +166,6 @@ def _batched_exit_facets(
     offsets: np.ndarray,
     denom: np.ndarray,
     facet_mins: np.ndarray,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized single-exit-facet resolution for a whole target batch.
 
@@ -175,19 +179,18 @@ def _batched_exit_facets(
     n_targets = target_points.shape[0]
     hit = np.zeros(n_targets, dtype=bool)
     exit_facet = np.zeros(n_targets, dtype=np.intp)
-    mtol = max(tol, 1e-7)
     for start in range(0, n_targets, _RAY_BLOCK):
         block = target_points[start : start + _RAY_BLOCK]
         s_matrix = (block @ normals.T + offsets[None, :]) / denom[None, :]
-        s_masked = np.where(s_matrix >= -tol, s_matrix, np.inf)
+        s_masked = np.where(s_matrix >= -_RAY_TOL, s_matrix, np.inf)
         f_star = np.argmin(s_masked, axis=1)
         rows = np.arange(block.shape[0])
         s_star = s_masked[rows, f_star]
-        ties = np.count_nonzero(s_masked <= s_star[:, None] + 1e-9, axis=1)
+        ties = np.count_nonzero(s_masked <= s_star[:, None] + _RAY_TOL, axis=1)
         ok = (
             np.isfinite(s_star)
             & (ties == 1)
-            & ~np.any(facet_mins[f_star] > block + mtol, axis=1)
+            & ~np.any(facet_mins[f_star] > block + _RAY_MIN_TOL, axis=1)
         )
         hit[start : start + _RAY_BLOCK] = ok
         exit_facet[start : start + _RAY_BLOCK] = f_star
@@ -201,7 +204,6 @@ def _exit_facet_members(
     offsets: np.ndarray,
     denom: np.ndarray,
     facet_mins: np.ndarray,
-    tol: float,
 ) -> np.ndarray | None:
     """Members of the facet(s) the downward ray exits through, or None.
 
@@ -209,95 +211,31 @@ def _exit_facet_members(
     lies in one of their simplices, so the union is a sound, slightly
     relaxed EDS).  A cheap necessary condition — the union's componentwise
     minimum must sit below the target — guards against numerical surprises;
-    failures fall back to the verified slow path.
+    failures fall back to the LP.
     """
     s_values = (normals @ target + offsets) / denom
-    valid = s_values >= -tol
+    valid = s_values >= -_RAY_TOL
     if not np.any(valid):
         return None
     s_star = float(s_values[valid].min())
-    ties = valid & (s_values <= s_star + 1e-9)
+    ties = valid & (s_values <= s_star + _RAY_TOL)
     members = np.unique(np.concatenate([f.members for f, m in zip(facets, ties) if m]))
     union_min = facet_mins[ties].min(axis=0)
-    if np.any(union_min > target + max(tol, 1e-7)):
+    if np.any(union_min > target + _RAY_MIN_TOL):
         return None
     return members.astype(np.intp)
 
 
-def _verified_cover(
-    prev_points: np.ndarray,
-    facets: list[Facet],
-    target: np.ndarray,
-    tol: float,
-) -> np.ndarray | None:
-    """Ray candidates with exact barycentric verification (slow path)."""
-    if not facets:
-        return None
-    normals = np.vstack([f.normal for f in facets])
-    offsets = np.asarray([f.offset for f in facets])
-    denom = normals.sum(axis=1)
-    s_values = (normals @ target + offsets) / denom
-    order = np.argsort(np.where(s_values >= -tol, s_values, np.inf))
-    for facet_pos in order[:_RAY_CANDIDATES]:
-        s = s_values[facet_pos]
-        if not np.isfinite(s) or s < -tol:
-            break
-        facet = facets[int(facet_pos)]
-        if not facet.pure:
-            continue
-        exit_point = target - max(float(s), 0.0)
-        if _barycentric_inside(prev_points[facet.members], exit_point):
-            return facet.members
-    return None
-
-
-def _barycentric_inside(facet_points: np.ndarray, point: np.ndarray) -> bool:
-    """True iff ``point`` lies (within tolerance) in the facet's simplex."""
-    m = facet_points.shape[0]
-    base = facet_points[-1]
-    if m == 1:
-        return bool(np.all(np.abs(point - base) <= 1e-9))
-    directions = (facet_points[:-1] - base).T  # (d, m-1)
-    rhs = point - base
-    solution, residual, *_ = np.linalg.lstsq(directions, rhs, rcond=None)
-    reconstructed = directions @ solution
-    if not np.allclose(reconstructed, rhs, atol=1e-8):
-        return False
-    last = 1.0 - float(solution.sum())
-    return bool(np.all(solution >= -_BARY_TOL) and last >= -_BARY_TOL)
-
-
-def _lp_support(prev_points: np.ndarray, bound: np.ndarray) -> np.ndarray | None:
-    """Support of a feasible convex combination under ``bound``, or None."""
-    m = prev_points.shape[0]
-    result = linprog(
-        c=np.zeros(m),
-        A_ub=prev_points.T,
-        b_ub=bound,
-        A_eq=np.ones((1, m)),
-        b_eq=np.ones(1),
-        bounds=[(0.0, 1.0)] * m,
-        method="highs",
-    )
-    if result.status != 0:
-        return None
-    support = np.nonzero(result.x > 1e-9)[0].astype(np.intp)
-    if support.shape[0] == 0:
-        support = np.asarray([int(np.argmax(result.x))], dtype=np.intp)
-    return support
-
-
 def _lp_min_violation_support(
-    prev_points: np.ndarray, bound: np.ndarray, max_violation: float
+    prev_points: np.ndarray, target: np.ndarray, max_violation: float
 ) -> np.ndarray | None:
     """Support of the least-violating convex combination, if tiny enough.
 
-    Minimizes ``s`` subject to ``Pᵀλ ≤ bound + s·1, Σλ = 1, λ ≥ 0,
+    Minimizes ``s`` subject to ``Pᵀλ ≤ target + s·1, Σλ = 1, λ ≥ 0,
     s ≥ 0`` — always feasible — and returns the support only when the
-    optimal violation is at most ``max_violation``.  A violation at
-    numerical-noise scale means the cover exists geometrically and only
-    the strict-feasibility LP tripped on solver tolerance; anything larger
-    is a genuine coverage failure and stays an error.
+    optimal violation is at most ``max_violation``.  A covered
+    target has optimum 0, up to the solver's feasibility tolerance;
+    anything larger is a genuine coverage failure and stays an error.
     """
     m, d = prev_points.shape
     # Variables: lambda (m) then s (1).
@@ -307,7 +245,7 @@ def _lp_min_violation_support(
     result = linprog(
         c=c,
         A_ub=a_ub,
-        b_ub=bound,
+        b_ub=target,
         A_eq=np.hstack([np.ones((1, m)), np.zeros((1, 1))]),
         b_eq=np.ones(1),
         bounds=[(0.0, 1.0)] * m + [(0.0, None)],

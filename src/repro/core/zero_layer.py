@@ -169,10 +169,10 @@ def attach_clustered_zero_layer(
 
     # ∀-gates from pseudo-tuples to the L¹ members they weakly dominate.
     # Weak dominance is required (a singleton cluster's minimum equals its
-    # member) and safe: F(pseudo) <= F(member) for every positive w.
-    weak = np.all(
-        minima[:, None, :] <= layer_points[None, :, :] + 1e-12, axis=2
-    )  # (n_pseudo, layer)
+    # member) and safe: F(pseudo) <= F(member) for every positive w.  The
+    # test is exact: a cluster minimum is an exact componentwise minimum,
+    # so it weakly dominates every member of its cluster.
+    weak = np.all(minima[:, None, :] <= layer_points[None, :, :], axis=2)
     for col, node in enumerate(first_coarse_layer):
         parents = pseudo_nodes[np.nonzero(weak[:, col])[0]]
         builder.add_forall_parents(int(node), (int(p) for p in parents))

@@ -13,7 +13,9 @@ Provides everything the dual-resolution layer needs from geometry:
 * convex-combination dominance feasibility — the exact geometric test behind
   ``EDS`` membership (:mod:`repro.geometry.feasibility`);
 * the §V-A weight-range partition of the 2-D simplex
-  (:mod:`repro.geometry.weight_ranges`).
+  (:mod:`repro.geometry.weight_ranges`);
+* the exact power-of-two rescaling that makes the build's float
+  thresholds relative to the data (:mod:`repro.geometry.scale`).
 """
 
 from repro.geometry.hull2d import lower_left_chain, skyline_2d

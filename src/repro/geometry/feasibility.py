@@ -11,10 +11,13 @@ Restricting ``t^V`` to the segment is what makes Lemma 2 sound: for every
 positive weight vector ``w``, ``min_i w·pⁱ ≤ w·(Fᵀλ) ≤ w·t'``.
 
 Two-point facets (every facet in 2-D) reduce to a closed-form interval
-intersection; larger facets use one small LP (HiGHS).  A tolerance admits
-boundary contact — weak dominance keeps duplicate/collinear tuples coverable
-and is still safe for query correctness (gated tuples tie rather than beat
-their gates).
+intersection; larger facets use one small LP (HiGHS).  ``tol`` is an
+*absolute* slack on the target: it admits boundary contact at unit scale,
+but on data whose magnitude is near ``tol`` it accepts combinations that do
+not dominate the target, and a gate built on such a test is unsound.  The
+index build does not use this module (see :mod:`repro.core.eds`, whose
+single-point test is exact and whose other thresholds are relative to the
+data); the paper-example and property tests do.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Property-based tests: cursor paging equals one-shot queries."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +27,16 @@ def paged_workloads(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(workload=paged_workloads())
+# Tuples within 1e-9 of the origin: an absolute build tolerance once gated
+# tuple 2 (a copy of tuple 1) behind tuple 0, which does not dominate it,
+# so tuple 2 surfaced after the worse-scoring tuple 0.
+@example(
+    workload=(
+        np.array([[0.0, 1e-9], [1e-9, 0.0], [1e-9, 0.0]]),
+        np.array([0.5, 1.0]),
+        [1, 1, 1],
+    )
+)
 def test_any_paging_schedule_matches_bruteforce(workload):
     points, weights, pages = workload
     relation = Relation(points, check_domain=False)
