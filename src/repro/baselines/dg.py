@@ -33,7 +33,6 @@ class DGPlusIndex(DLPlusIndex):
         *,
         max_layers: int | None = None,
         skyline_algorithm: str = "blocked",
-        parallel: int | None = None,
         clusters: int | None = None,
         seed: int = 0,
     ) -> None:
@@ -43,7 +42,6 @@ class DGPlusIndex(DLPlusIndex):
             relation,
             max_layers=max_layers,
             skyline_algorithm=skyline_algorithm,
-            parallel=parallel,
             clusters=clusters,
             zero_layer="clusters",
             seed=seed,

@@ -3,8 +3,8 @@
 This is the pre-pipeline implementation of :mod:`repro.core.build`, kept
 verbatim (per-node ``place`` calls, dict-based facet remap, dense
 ``dominance_matrix`` column walk, iterated ``sfs`` peel by default).  It is
-deliberately *slow and obvious*: the vectorized and parallel pipelines are
-asserted array-equal against it — same CSR indptr/indices, levels and seeds
+deliberately *slow and obvious*: the vectorized pipeline is asserted
+array-equal against it — same CSR indptr/indices, levels and seeds
 — by the tier-1 tests, the same oracle discipline the query kernel uses
 with ``process_top_k_reference``.  Its last timing against the pipeline
 is ``git show 5b80d0f:BENCH_build.json``.
@@ -33,10 +33,8 @@ def build_dual_layer_reference(
     skyline_algorithm: str = "sfs",
     builder: StructureBuilder | None = None,
     freeze: bool = True,
-    parallel: int | None = None,  # accepted for hook compatibility; unused
 ) -> DualLayerBlueprint:
     """Original one-node-at-a-time build; the pipeline's equality oracle."""
-    del parallel
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     builder = builder if builder is not None else StructureBuilder(points)
 

@@ -44,9 +44,6 @@ class DLIndex(TopKIndex):
         Coarse-layer skyline routine (``blocked`` default; ``sfs``, ``bnl``
         and ``bskytree`` run the classic iterated peel — the partition is
         identical either way).
-    parallel:
-        ``N > 1`` builds through the shared-memory worker pool (array-equal
-        to the sequential build); ``None``/``1`` builds in-process.
     """
 
     name = "DL"
@@ -61,12 +58,10 @@ class DLIndex(TopKIndex):
         *,
         max_layers: int | None = None,
         skyline_algorithm: str = "blocked",
-        parallel: int | None = None,
     ) -> None:
         super().__init__(relation)
         self.max_layers = max_layers
         self.skyline_algorithm = skyline_algorithm
-        self.parallel = parallel
         self.structure = None
         self.blueprint = None
 
@@ -76,7 +71,6 @@ class DLIndex(TopKIndex):
             fine_sublayers=self._fine_sublayers,
             max_layers=self.max_layers,
             skyline_algorithm=self.skyline_algorithm,
-            parallel=self.parallel,
         )
         self.blueprint = blueprint
         self.structure = blueprint.structure
@@ -140,7 +134,6 @@ class DLPlusIndex(DLIndex):
         *,
         max_layers: int | None = None,
         skyline_algorithm: str = "blocked",
-        parallel: int | None = None,
         clusters: int | None = None,
         zero_layer: str = "auto",
         seed: int = 0,
@@ -149,7 +142,6 @@ class DLPlusIndex(DLIndex):
             relation,
             max_layers=max_layers,
             skyline_algorithm=skyline_algorithm,
-            parallel=parallel,
         )
         if zero_layer not in ("auto", "chain", "clusters"):
             raise ValueError(f"unknown zero_layer mode {zero_layer!r}")
@@ -170,7 +162,6 @@ class DLPlusIndex(DLIndex):
             skyline_algorithm=self.skyline_algorithm,
             builder=builder,
             freeze=False,
-            parallel=self.parallel,
         )
         if blueprint.coarse_layers:
             use_chain = self.zero_layer == "chain" or (

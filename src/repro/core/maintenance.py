@@ -39,8 +39,9 @@ import threading
 
 import numpy as np
 
+from repro.core.build import build_from_partition
 from repro.core.query import process_top_k
-from repro.core.structure import LayerStructure, StructureBuilder
+from repro.core.structure import LayerStructure
 from repro.exceptions import EmptyRelationError, InvalidQueryError
 from repro.skyline.dominance import dominance_matrix, dominates_any, dominators_of
 from repro.stats import AccessCounter
@@ -104,15 +105,6 @@ class DynamicDualLayerIndex:
         self.patched_inserts = 0
         # Serializes the lazy structure rebuild so concurrent readers (the
         # serving engine's thread pool) never observe a half-built graph.
-        self._rebuild_lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_rebuild_lock"]  # locks don't pickle
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
         self._rebuild_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -248,16 +240,10 @@ class DynamicDualLayerIndex:
             any_demoted = True
             for i in demoted:
                 self._layers[layer].remove(i)
-                self._place_into(i, layer + 1)
+                self._place(i, layer + 1)
             layer += 1
             arrivals = demoted
         return any_demoted
-
-    def _place_into(self, point_id: int, layer: int) -> None:
-        while layer >= len(self._layers):
-            self._layers.append([])
-        self._layers[layer].append(point_id)
-        self._layer_of[point_id] = layer
 
     def _cascade_promotions(self, layer: int) -> None:
         """After a removal at ``layer``, pull up newly undominated tuples."""
@@ -392,33 +378,23 @@ class DynamicDualLayerIndex:
         """Rebuild the gated structure from the maintained partition.
 
         The coarse layers are already known, so the skyline peel — the
-        dominant build cost — is skipped: points are fed to the standard
-        builder layer by layer via a pre-partitioned matrix.
+        dominant build cost — is skipped: the live rows (in id order) and
+        their partition go straight to the batch build's
+        :func:`~repro.core.build.build_from_partition`, so the result is
+        the structure :func:`~repro.core.build.build_dual_layer` would
+        build over the same rows.
         """
         live_ids = sorted(self._layer_of)
         self._id_map = np.asarray(live_ids, dtype=np.intp)
         position = {pid: pos for pos, pid in enumerate(live_ids)}
         matrix = np.vstack([self._points[i] for i in live_ids])
-
-        from repro.core.build import _build_fine_sublayers, _wire_forall_gates
-
-        builder = StructureBuilder(matrix)
         layers_local = [
             np.asarray(sorted(position[i] for i in layer), dtype=np.intp)
             for layer in self._layers
         ]
-        builder.num_coarse_layers = len(layers_local)
-        builder.complete = True
-        fine_first: np.ndarray | None = None
-        for index, layer in enumerate(layers_local):
-            sublayers, _ = _build_fine_sublayers(
-                builder, matrix, layer, coarse_index=index,
-                enabled=self.fine_sublayers,
-            )
-            if index == 0:
-                fine_first = sublayers[0]
-            else:
-                _wire_forall_gates(builder, matrix, layers_local[index - 1], layer)
-        if fine_first is not None:
-            builder.static_seeds.extend(int(i) for i in fine_first)
-        self._structure = builder.freeze()
+        self._structure = build_from_partition(
+            matrix,
+            layers_local,
+            np.empty(0, dtype=np.intp),
+            fine_sublayers=self.fine_sublayers,
+        ).structure

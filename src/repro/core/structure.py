@@ -36,28 +36,10 @@ on top of the arrays.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import IndexConstructionError
-
-
-@dataclass(frozen=True)
-class BuilderFragment:
-    """Picklable slice of builder state produced by one parallel-build worker.
-
-    Each field mirrors one accumulation stream of :class:`StructureBuilder`
-    (``None`` means the worker produced nothing for that stream); the parent
-    process folds fragments back in with
-    :meth:`StructureBuilder.merge_fragment`.  Because ``freeze`` deduplicates
-    edges and emits canonical CSR, merge order cannot affect the frozen
-    structure.
-    """
-
-    placements: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    forall_edges: tuple[np.ndarray, np.ndarray] | None = None
-    exists_edges: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class CSRAdjacency:
@@ -138,16 +120,15 @@ class StructureBuilder:
       :meth:`add_exists_parents`) used by the zero-layer decorators and the
       per-node reference build;
     * the bulk API (:meth:`place_many`, :meth:`add_forall_edges`,
-      :meth:`add_exists_edges`) used by the vectorized pipeline and by the
-      parallel build's fragment merge — whole arrays per call, no per-node
-      Python loop.
+      :meth:`add_exists_edges`) used by the vectorized pipeline — whole
+      arrays per call, no per-node Python loop.
 
     Everything is accumulated as ``(child, parent)`` edge chunks and
     placement chunks; :meth:`freeze` deduplicates, validates, and emits the
     **canonical** CSR layout: per-parent child runs sorted ascending.  The
     canonical order makes the frozen structure independent of ingestion
-    order, which is what lets a parallel build's merged fragments compare
-    array-equal to the sequential build.
+    order, which is what lets the vectorized pipeline compare array-equal
+    to the per-node reference build.
     """
 
     def __init__(self, real_values: np.ndarray) -> None:
@@ -260,41 +241,6 @@ class StructureBuilder:
             )
         if children.shape[0]:
             self._exists_chunks.append((children, parents))
-
-    def extract_fragment(self) -> "BuilderFragment":
-        """Snapshot this builder's accumulated state as one picklable fragment.
-
-        Used worker-side by the parallel build: the worker accumulates into
-        a throwaway builder, extracts the fragment, and ships it back for
-        :meth:`merge_fragment` in the parent.
-        """
-        self._flush_pending()
-
-        def _concat(
-            chunks: list[tuple[np.ndarray, ...]],
-        ) -> tuple[np.ndarray, ...] | None:
-            if not chunks:
-                return None
-            return tuple(
-                np.concatenate([chunk[i] for chunk in chunks])
-                for i in range(len(chunks[0]))
-            )
-
-        return BuilderFragment(
-            placements=_concat(self._placement_chunks),
-            forall_edges=_concat(self._forall_chunks),
-            exists_edges=_concat(self._exists_chunks),
-        )
-
-    def merge_fragment(self, fragment: "BuilderFragment") -> None:
-        """Fold a worker-local fragment (parallel build) into this builder."""
-        if fragment.placements is not None:
-            self._flush_pending()
-            self._placement_chunks.append(fragment.placements)
-        if fragment.forall_edges is not None:
-            self.add_forall_edges(*fragment.forall_edges)
-        if fragment.exists_edges is not None:
-            self.add_exists_edges(*fragment.exists_edges)
 
     @staticmethod
     def _dedupe_pairs(
@@ -843,9 +789,9 @@ def layer_structures_equal(a: LayerStructure, b: LayerStructure) -> bool:
     """True iff two frozen structures are array-equal.
 
     Compares every traversal-determining array (:data:`_STRUCTURE_ARRAYS`)
-    plus the scalar metadata.  This is the oracle check the parallel build
-    uses against the sequential build: canonical CSR makes equality exact,
-    not merely isomorphic.
+    plus the scalar metadata.  This is the oracle check the pipeline and
+    the dynamic index's rebuild are held to against the reference build:
+    canonical CSR makes equality exact, not merely isomorphic.
     """
     if (
         a.n_real != b.n_real

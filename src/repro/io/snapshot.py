@@ -33,8 +33,8 @@ mapped file (a truncated ``data.bin`` raises instead of SIGBUS-ing on
 first touch), every per-node array has one entry per node, each CSR row
 pointer runs monotonically from 0 to its index array's length, every node
 id, seed and chain id is in range, no static seed repeats, the gate
-counts agree with the edges, and every bound-table row id names a row of
-its table.  The native walker
+counts agree with the edges, every bound-table row id names a row of
+its table, and every value is finite.  The native walker
 never bounds-checks a node id, so these checks are what keep a crafted
 snapshot from reading outside its arrays.  They do not detect an in-range
 value flipped to another in-range value; such a snapshot opens and may
@@ -335,7 +335,7 @@ def _check_arrays(root: Path, arrays: dict[str, np.ndarray], n_real: int) -> Non
     ``arrays`` holds the carved blobs, id arrays already cast to
     ``np.intp``.  The walkers index ``values``, the gate state and the
     bound tables by the ids these arrays hold, without checking them, so
-    every id must name a row that exists.
+    every id must name a row that exists, and every value must be finite.
     """
 
     def fail(name: str, problem: str) -> None:
@@ -352,6 +352,10 @@ def _check_arrays(root: Path, arrays: dict[str, np.ndarray], n_real: int) -> Non
     n_nodes, d = values.shape
     if not 0 <= n_real <= n_nodes:
         fail("values", f"holds {n_nodes} nodes; n_real={n_real} is out of range")
+    # A NaN compares false against every score, so the walkers would
+    # silently drop its tuple from every answer.
+    if not np.isfinite(values).all():
+        fail("values", "holds a value that is not finite")
     per_node = ("forall_parent_count", "exists_gated", "coarse_levels", "fine_levels")
     for name in per_node + ("bound_block_of", "bound_sublayer_of"):
         if name in arrays and arrays[name].shape != (n_nodes,):
@@ -407,8 +411,8 @@ def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
     copied at open time, and pages are faulted in lazily as queries touch
     them.  ``mmap=False`` reads the data file into private memory (useful
     when the snapshot will be replaced while open).  The structure is
-    checked before it is returned (see the module docstring): the id
-    arrays, gate counts and bound tables are read once; ``values`` is not.
+    checked before it is returned (see the module docstring): ``values``,
+    the id arrays, gate counts and bound tables are each read once.
     """
     root = Path(path)
     manifest = read_manifest(root)
@@ -481,9 +485,8 @@ def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
         )
 
     # The relation is a zero-copy view of the real rows of the mapped
-    # values blob.  The trusted constructor skips the finiteness re-scan:
-    # it would fault in every page of the mapping just to re-prove what
-    # the normal constructor proved before the snapshot was written.
+    # values blob.  The trusted constructor skips the normal constructor's
+    # finiteness and domain scans: _check_arrays has already scanned values.
     relation = Relation.wrap_unchecked(values[:n_real], Schema(attributes))
     return SnapshotIndex(
         relation,

@@ -71,10 +71,9 @@ class Relation:
     def wrap_unchecked(cls, matrix: np.ndarray, schema: Schema) -> "Relation":
         """Wrap an already-validated float64 matrix without copying it.
 
-        Trusted constructor for deserializers (the mmap snapshot opener):
-        the bytes were validated by the normal constructor when the
-        relation was first built, so re-scanning them here would fault in
-        every page of a lazily-mapped file just to re-prove finiteness.
+        Trusted constructor for deserializers: the mmap snapshot opener
+        checks that every value is finite before it wraps them, so this
+        skips the normal constructor's finiteness and domain scans.
         Only the O(1) shape/dtype invariants are checked.  The matrix is
         marked read-only; callers must not mutate it afterwards.
         """

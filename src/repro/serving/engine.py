@@ -376,11 +376,6 @@ class QueryEngine(ServingLoop):
         when it is actually loadable, so a compiler-less host serves
         every query through the python kernels with one logged warning
         and no errors.
-    build_parallel:
-        Worker count for (re)builds the engine triggers: applied to the
-        fronted index's ``parallel`` knob before the initial build and for
-        every index that exposes one.  Parallel builds are array-equal to
-        sequential ones, so this only changes build wall-clock.
     prune:
         Enable layer-bound skipping in the CSR and batch kernels (see
         :func:`~repro.core.query.process_top_k`): children whose bound-table
@@ -399,16 +394,12 @@ class QueryEngine(ServingLoop):
         quantize_decimals: int = 12,
         latency_window: int = 4096,
         kernel: str = "auto",
-        build_parallel: int | None = None,
         prune: bool = False,
     ) -> None:
         if kernel not in VALID_KERNELS:
             raise InvalidQueryError(
                 f"kernel must be one of {VALID_KERNELS}, got {kernel!r}"
             )
-        self.build_parallel = build_parallel
-        if build_parallel is not None and hasattr(index, "parallel"):
-            index.parallel = build_parallel
         if isinstance(index, TopKIndex) and not index._built:
             index.build()
         self.index = index

@@ -112,29 +112,16 @@ def skyline_layers(
 class _LayerAccumulator:
     """One growing skyline layer: member ids plus an amortized point buffer."""
 
-    __slots__ = ("ids", "buffer", "count", "_member_ids")
+    __slots__ = ("ids", "buffer", "count")
 
     def __init__(self, d: int) -> None:
         self.ids: list[np.ndarray] = []
         self.buffer = np.empty((64, d), dtype=np.float64)
         self.count = 0
-        self._member_ids: np.ndarray | None = None
 
     def members(self) -> np.ndarray:
         """Current member points, in insertion (ascending attribute-sum) order."""
         return self.buffer[: self.count]
-
-    def member_ids(self) -> np.ndarray:
-        """Current member *global ids*, in the same insertion order."""
-        cached = self._member_ids
-        if cached is None or cached.shape[0] != self.count:
-            cached = (
-                np.concatenate(self.ids)
-                if self.ids
-                else np.empty(0, dtype=np.intp)
-            )
-            self._member_ids = cached
-        return cached
 
     def extend(self, ids: np.ndarray, points: np.ndarray) -> None:
         needed = self.count + points.shape[0]
@@ -148,7 +135,6 @@ class _LayerAccumulator:
         self.buffer[self.count : needed] = points
         self.count = needed
         self.ids.append(ids)
-        self._member_ids = None
 
 
 def skyline_layer_partition(
@@ -156,7 +142,6 @@ def skyline_layer_partition(
     max_layers: int | None = None,
     *,
     block: int = _PARTITION_BLOCK,
-    scanner: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Single-pass skyline-layer partition (the ``"blocked"`` algorithm).
 
@@ -175,13 +160,6 @@ def skyline_layer_partition(
     *inside* the block only ever deepen a point's layer; a vectorized
     fix-point (``layer[j] = max(layer[j], 1 + max over in-block dominators
     i of layer[i])``) converges in at most the longest in-block chain.
-
-    ``scanner``, when given, replaces the in-process layer scans: it is
-    called as ``scanner(point_ids, member_ids)`` with *global* row ids and
-    must return the boolean dominated-by-members mask over ``point_ids``.
-    The parallel build injects a pool-sharded scanner here; the gathered
-    rows are the identical float values, so results match the in-process
-    path exactly.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n, d = points.shape
@@ -198,23 +176,17 @@ def skyline_layer_partition(
     #: With max_layers set, anything at this depth or beyond is leftover.
     cutoff = max_layers if max_layers is not None else np.iinfo(np.int64).max
 
-    def dominated_by(sel: np.ndarray, layer: _LayerAccumulator) -> np.ndarray:
-        if scanner is None:
-            return dominates_any(chunk[sel], layer.members())
-        return scanner(chunk_ids[sel], layer.member_ids())
-
     for start in range(0, n, block):
         chunk = sorted_pts[start : start + block]
         chunk_ids = order[start : start + block]
         m = chunk.shape[0]
         assigned = np.zeros(m, dtype=np.int64)
-        all_rows = np.arange(m, dtype=np.intp)
 
         # Overflow fast path: one check against the deepest kept layer
         # settles every point that would land beyond the bound.
         overflow = np.zeros(m, dtype=bool)
         if max_layers is not None and len(layers) >= max_layers:
-            overflow = dominated_by(all_rows, layers[max_layers - 1])
+            overflow = dominates_any(chunk, layers[max_layers - 1].members())
             assigned[overflow] = cutoff
 
         # Tentative layers vs already-placed points: scan layers in order on
@@ -225,7 +197,7 @@ def skyline_layer_partition(
                 break
             if max_layers is not None and depth >= max_layers:
                 break
-            dominated = dominated_by(undecided, layer)
+            dominated = dominates_any(chunk[undecided], layer.members())
             assigned[undecided[~dominated]] = depth
             undecided = undecided[dominated]
         if undecided.shape[0]:

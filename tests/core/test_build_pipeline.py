@@ -12,14 +12,10 @@ import pytest
 from repro.core.build import BUILD_STAGES, build_dual_layer
 from repro.core.build_reference import build_dual_layer_reference
 from repro.core.index import DLIndex, DLPlusIndex
-from repro.core.structure import (
-    BuilderFragment,
-    StructureBuilder,
-    layer_structures_equal,
-)
+from repro.core.structure import StructureBuilder, layer_structures_equal
 from repro.data import generate
-from repro.data.hotels import toy_hotels
 from repro.exceptions import IndexCapacityError
+from tests.structure_check import _edges
 
 
 @pytest.mark.parametrize("distribution", ["IND", "ANT", "COR"])
@@ -59,63 +55,48 @@ def test_exists_gate_parents_unchanged_by_searchsorted_remap():
     )
 
 
-def test_parallel_equals_sequential_on_hotels():
-    """Tier-1 (satellite): parallel=2 through shared memory == sequential."""
-    relation = toy_hotels()
-    seq = DLIndex(relation).build()
-    par = DLIndex(relation, parallel=2).build()
-    assert layer_structures_equal(seq.structure, par.structure)
-
-
 @pytest.mark.parametrize("cls", [DLIndex, DLPlusIndex])
-def test_parallel_partial_build_contract(cls):
-    """max_layers + leftover through the parallel path (satellite)."""
+def test_partial_build_contract(cls):
+    """max_layers leaves a leftover; k <= max_layers answers, k > refuses."""
     relation = generate("ANT", 500, 3, seed=61)
-    seq = cls(relation, max_layers=4).build()
-    par = cls(relation, max_layers=4, parallel=2).build()
-    assert layer_structures_equal(seq.structure, par.structure)
-    assert not par.structure.complete
-    np.testing.assert_array_equal(seq.blueprint.leftover, par.blueprint.leftover)
-    assert par.blueprint.leftover.shape[0] > 0
-    # k <= max_layers stays answerable; k beyond the bound must refuse.
-    par.query(np.ones(3) / 3, 4)
+    index = cls(relation, max_layers=4).build()
+    assert not index.structure.complete
+    assert index.blueprint.leftover.shape[0] > 0
+    index.query(np.ones(3) / 3, 4)
     with pytest.raises(IndexCapacityError):
-        par.query(np.ones(3) / 3, 5)
+        index.query(np.ones(3) / 3, 5)
 
 
-def test_fragment_merge_order_is_irrelevant():
-    """freeze() canonicalizes, so fragment ingestion order cannot leak through."""
+def test_freeze_ignores_ingestion_order():
+    """freeze() canonicalizes: shuffled, chunked, repeated ingestion of the
+    same placements and edges freezes to the same arrays."""
     pts = generate("IND", 300, 3, seed=5).matrix
     blueprint = build_dual_layer(pts)
-
-    worker = StructureBuilder(pts)
-    build_dual_layer(pts, builder=worker, freeze=False)
-    fragment = worker.extract_fragment()
-
+    built = blueprint.structure
     rng = np.random.default_rng(11)
-    shuffled = BuilderFragment(
-        placements=tuple(
-            arr[perm]
-            for perm in [rng.permutation(fragment.placements[0].shape[0])]
-            for arr in fragment.placements
-        ),
-        forall_edges=tuple(
-            arr[perm]
-            for perm in [rng.permutation(fragment.forall_edges[0].shape[0])]
-            for arr in fragment.forall_edges
-        ),
-        exists_edges=tuple(
-            arr[perm]
-            for perm in [rng.permutation(fragment.exists_edges[0].shape[0])]
-            for arr in fragment.exists_edges
-        ),
-    )
+
+    def shuffled_chunks(*arrays):
+        perm = rng.permutation(arrays[0].shape[0])
+        for chunk in np.array_split(perm, 4):
+            yield tuple(arr[chunk] for arr in arrays)
+
+    nodes = np.nonzero(built.coarse_levels >= 0)[0]
     target = StructureBuilder(pts)
-    target.merge_fragment(shuffled)
-    target.num_coarse_layers = worker.num_coarse_layers
-    target.complete = worker.complete
-    target.static_seeds = list(worker.static_seeds)
-    assert layer_structures_equal(blueprint.structure, target.freeze())
+    for chunk in shuffled_chunks(
+        nodes, built.coarse_levels[nodes], built.fine_levels[nodes]
+    ):
+        target.place_many(*chunk)
+    forall = _edges(built.forall_indptr, built.forall_indices)
+    exists = _edges(built.exists_indptr, built.exists_indices)
+    for _ in range(2):  # every edge twice: freeze deduplicates
+        for chunk in shuffled_chunks(*forall):
+            target.add_forall_edges(*chunk)
+        for chunk in shuffled_chunks(*exists):
+            target.add_exists_edges(*chunk)
+    target.num_coarse_layers = built.num_coarse_layers
+    target.complete = built.complete
+    target.static_seeds = built.static_seeds.tolist()
+    assert layer_structures_equal(built, target.freeze())
 
 
 def test_build_profile_records_all_stages():
@@ -125,7 +106,6 @@ def test_build_profile_records_all_stages():
     assert set(profile.stage_seconds) == set(BUILD_STAGES)
     assert all(seconds >= 0.0 for seconds in profile.stage_seconds.values())
     assert profile.stage_seconds["coarse_peel"] > 0.0
-    assert profile.wall_seconds >= profile.stage_seconds["freeze"]
 
 
 def test_index_build_stats_carry_stage_seconds():

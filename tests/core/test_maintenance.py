@@ -159,23 +159,6 @@ def test_query_accepts_external_counter(rng):
     assert counter.total >= got_ids.shape[0]
 
 
-def test_dynamic_index_pickles(rng):
-    """The rebuild lock must not leak into pickles (it is not picklable)."""
-    import pickle
-
-    index = DynamicDualLayerIndex(d=2)
-    for row in rng.random((20, 2)):
-        index.insert(row)
-    index.query(np.array([0.5, 0.5]), 3)
-    clone = pickle.loads(pickle.dumps(index))
-    assert clone.version == index.version
-    got, _ = clone.query(np.array([0.5, 0.5]), 3)
-    ref, _ = index.query(np.array([0.5, 0.5]), 3)
-    np.testing.assert_array_equal(got, ref)
-    clone.insert(np.array([0.01, 0.01]))  # lock restored, mutations work
-    assert clone.version == index.version + 1
-
-
 def test_dg_mode_dynamic(rng):
     index = DynamicDualLayerIndex(d=2, fine_sublayers=False)
     for row in rng.random((30, 2)):

@@ -365,6 +365,41 @@ def test_open_rejects_short_per_node_array(snapshot_dir, tmp_path):
         open_snapshot(root)
 
 
+def _kernels_here():
+    kernels = ["reference", "csr", "batch"]
+    try:
+        from repro.core.native import native_ready
+    except ImportError:
+        return kernels
+    return kernels + (["native"] if native_ready() else [])
+
+
+@pytest.mark.parametrize("kernel", _kernels_here())
+def test_open_rejects_a_nan_value_every_kernel_would_drop(kernel, tmp_path):
+    """A NaN in a value row used to open cleanly; every kernel then left
+    its tuple out of the answer ([121, 50, 275] here) with no error."""
+    from repro.serving import QueryEngine
+
+    index = DLPlusIndex(generate("IND", 300, 3, seed=0)).build()
+    root = save_snapshot(index, tmp_path / "snap")
+    w = np.array([0.3, 0.3, 0.4])
+    engine = QueryEngine(open_snapshot(root), cache_size=0, kernel=kernel)
+    np.testing.assert_array_equal(engine.query(w, 3).ids, [259, 121, 50])
+
+    _poke(root, "values", 259 * 3, np.nan)
+    with pytest.raises(SerializationError, match="values"):
+        open_snapshot(root)
+
+
+def test_open_rejects_an_infinite_pseudo_value(snapshot_dir, tmp_path):
+    root = _copy(snapshot_dir, tmp_path, "c")
+    rows, d = read_manifest(root)["arrays"]["values"]["shape"]
+    assert rows > read_manifest(root)["n_real"], "fixture has no pseudo tuples"
+    _poke(root, "values", rows * d - 1, np.inf)
+    with pytest.raises(SerializationError, match="values"):
+        open_snapshot(root)
+
+
 _SEED_FLIP_CHILD = """
 import sys
 import numpy as np

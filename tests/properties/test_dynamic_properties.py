@@ -1,11 +1,15 @@
 """Property-based tests: dynamic maintenance equals batch construction."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.build import build_dual_layer
 from repro.core.maintenance import DynamicDualLayerIndex
+from repro.core.structure import layer_structures_equal
 from repro.skyline import skyline_layers
+from tests.structure_check import assert_structure_sound
 
 
 @st.composite
@@ -76,3 +80,29 @@ def test_queries_correct_after_any_op_sequence(seq, data):
 
     _, ref_scores = top_k_bruteforce(matrix, w / w.sum(), min(5, len(live)))
     np.testing.assert_allclose(got_scores, ref_scores, atol=1e-9)
+
+
+@pytest.mark.parametrize("fine", [True, False], ids=["DL", "DG"])
+@settings(max_examples=25, deadline=None)
+@given(seq=operation_sequences())
+def test_rebuilt_structure_is_the_batch_build(fine, seq):
+    """The lazily rebuilt structure is array-equal to a batch build over the
+    live rows in id order, and sound.  A query halfway through builds a
+    structure early, so later DG-mode inserts take the CSR splice."""
+    d, ops = seq
+    index = DynamicDualLayerIndex(d=d, fine_sublayers=fine)
+    live: list[int] = []
+    for step, (op, cells) in enumerate(ops):
+        if op == "insert" or not live:
+            live.append(index.insert(np.asarray(cells, dtype=np.float64) / 8.0))
+        else:
+            index.delete(live.pop(len(live) // 2))
+        if step == len(ops) // 2 and live:
+            index.query(np.ones(d), 1)
+    if not live:
+        return
+    index.query(np.ones(d), 1)
+    matrix = np.vstack([index.values_of(i) for i in sorted(live)])
+    batch = build_dual_layer(matrix, fine_sublayers=fine).structure
+    assert layer_structures_equal(index._structure, batch)
+    assert_structure_sound(index._structure)
