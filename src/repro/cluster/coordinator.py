@@ -342,8 +342,11 @@ class ClusterEngine(ServingLoop):
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _compute(self, lanes: np.ndarray, k: int) -> list[ClusterResult]:
-        """Merge one k-group of cache misses (raw rows) across the shards."""
+    def _compute(self, lanes: np.ndarray, k: int, record) -> list[ClusterResult]:
+        """Merge one k-group of cache misses (raw rows) across the shards.
+
+        The shards' engines count their own kernels, so ``record`` (the
+        coordinator call's metrics record) is not used here."""
         if self.merge == "naive":
             return self._merge_naive_batch(lanes, k)
         return [self._merge_threshold(w, k) for w in lanes]

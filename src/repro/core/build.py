@@ -65,7 +65,10 @@ class BuildProfile:
     """Per-stage wall-clock accounting for one build.
 
     ``stage_seconds`` maps each :data:`BUILD_STAGES` entry to the seconds
-    the build spent in it.
+    the build spent in it.  A DL+/DG+ build's zero-layer attach (the
+    pseudo tuples and their ∀-edges to L¹) is counted under
+    ``forall_gates``, and its freeze, which runs after the attach, under
+    ``freeze``.
     """
 
     stage_seconds: dict[str, float] = field(

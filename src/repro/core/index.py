@@ -10,6 +10,8 @@ pseudo-tuple layer in d ≥ 3.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.core.base import TopKIndex
@@ -163,7 +165,11 @@ class DLPlusIndex(DLIndex):
             builder=builder,
             freeze=False,
         )
+        profile = blueprint.profile
         if blueprint.coarse_layers:
+            # The zero layer is ∀-gate wiring (pseudo tuples over L¹), so
+            # its attach is timed under forall_gates.
+            start = time.perf_counter()
             use_chain = self.zero_layer == "chain" or (
                 self.zero_layer == "auto" and self.relation.d == 2
             )
@@ -180,7 +186,10 @@ class DLPlusIndex(DLIndex):
                     fine_sublayers=self._fine_sublayers,
                     seed=self.seed,
                 )
+            profile.add("forall_gates", time.perf_counter() - start)
+        start = time.perf_counter()
         blueprint.structure = builder.freeze()
+        profile.add("freeze", time.perf_counter() - start)
         self.blueprint = blueprint
         self.structure = blueprint.structure
         self._record_stats()

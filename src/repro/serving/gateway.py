@@ -70,8 +70,7 @@ from repro.exceptions import (
     GatewayOverloadError,
     InvalidQueryError,
 )
-from repro.relation import normalize_weights
-from repro.serving.engine import validate_k
+from repro.serving.engine import check_weights, validate_k
 from repro.serving.metrics import MetricsRegistry
 
 __all__ = ["AsyncGateway"]
@@ -201,8 +200,7 @@ class AsyncGateway:
         """
         if self._closed:
             raise GatewayClosedError("gateway is closed")
-        raw = np.asarray(weights, dtype=np.float64)
-        normalize_weights(raw, self.engine.d)  # validate only; raw is queued
+        raw = check_weights(weights, self.engine.d)  # raw is queued
         k = validate_k(k)
         if self._pending >= self.max_pending:
             self.rejected_queue_full += 1

@@ -26,8 +26,11 @@ class QueryRecord:
     """Context manager tracking one call that serves ``rows`` queries.
 
     Returned by :meth:`MetricsRegistry.track_rows`; the caller fills in
-    the cost and cache hits while serving, and the registry folds the
-    record in on exit under one lock.
+    the cost and cache hits and names the kernels that computed its rows
+    (:meth:`record_kernel`) while serving, and the registry folds the
+    record in on exit under one lock: a call takes the registry lock
+    twice, on entry and on exit, however many rows and kernel groups it
+    has.
     """
 
     __slots__ = (
@@ -38,6 +41,7 @@ class QueryRecord:
         "cost",
         "max_cost",
         "slo_violated",
+        "kernels",
         "_start",
     )
 
@@ -58,7 +62,26 @@ class QueryRecord:
         #: True when the rows' end-to-end latency missed their SLO target
         #: (only the gateway sets this — offline paths have no SLO).
         self.slo_violated = False
+        #: Kernel name -> rows it computed in this call (None until the
+        #: first :meth:`record_kernel`).
+        self.kernels: dict[str, int] | None = None
         self._start = 0.0
+
+    def record_kernel(self, name: str, count: int) -> None:
+        """Attribute ``count`` computed rows of this call to kernel ``name``.
+
+        Called by the engine once per dispatched k-group with the group's
+        lane count (never for cache hits).  The counts reach the
+        registry's ``kernel_<name>`` counters when the record exits, also
+        when the call raises: a group counts once it is dispatched.
+        """
+        if count <= 0:
+            return
+        kernels = self.kernels
+        if kernels is None:
+            self.kernels = {name: count}
+        else:
+            kernels[name] = kernels.get(name, 0) + count
 
     def __enter__(self) -> "QueryRecord":
         registry = self._registry
@@ -91,6 +114,10 @@ class QueryRecord:
             registry.total_cost += self.cost
             if max_cost > registry.max_cost:
                 registry.max_cost = max_cost
+            if self.kernels is not None:
+                counts = registry.kernel_counts
+                for name, count in self.kernels.items():
+                    counts[name] = counts.get(name, 0) + count
             registry._latency.record_many(elapsed / served, served)
 
 
@@ -127,7 +154,8 @@ class MetricsRegistry:
         #: (a batch of 12 rows lands in bucket 8).
         self.batch_size_hist: dict[int, int] = {}
         #: Per-kernel dispatch counters: kernel name ("reference", "csr",
-        #: "batch", "native") -> queries served by that kernel.  Cache
+        #: "batch", "native") -> queries served by that kernel, folded in
+        #: from each call's :meth:`QueryRecord.record_kernel`.  Cache
         #: hits touch no kernel and are not counted here, so the sum
         #: attributes exactly the traversal work (bench runs read these
         #: to attribute wins to the kernel that produced them).
@@ -189,18 +217,6 @@ class MetricsRegistry:
                 self.max_cost = cost
             if seconds is not None:
                 self._latency.record(seconds)
-
-    def record_kernel(self, name: str, count: int = 1) -> None:
-        """Attribute ``count`` served queries to kernel ``name``.
-
-        Called by the engine once per dispatched k-group with the group's
-        lane count (never for cache hits).  Surfaced as ``kernel_<name>``
-        in :meth:`as_dict` and summed by :meth:`aggregate`.
-        """
-        if count <= 0:
-            return
-        with self._lock:
-            self.kernel_counts[name] = self.kernel_counts.get(name, 0) + count
 
     def record_batch(self, size: int, seconds: float | None = None) -> None:
         """Record one batch of ``size`` rows computed under one dispatch.

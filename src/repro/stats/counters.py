@@ -32,9 +32,9 @@ class AccessCounter:
 
     __slots__ = ("real", "pseudo", "sorted_accesses")
 
-    def __init__(self) -> None:
-        self.real = 0
-        self.pseudo = 0
+    def __init__(self, real: int = 0, pseudo: int = 0) -> None:
+        self.real = real
+        self.pseudo = pseudo
         self.sorted_accesses = 0
 
     def count_real(self, amount: int = 1) -> None:

@@ -1,12 +1,14 @@
 """The exact structure checks find nothing on sound builds and catch each
-kind of broken gate: a missing ∀ edge, a wrong ∃ parent, a raised pseudo
-tuple and a misplaced coarse level."""
+kind of broken gate: a missing ∀ edge, a wrong ∃ parent, a raised or
+lowered pseudo tuple, an L¹ tuple cut from its pseudo parents, a
+decreasing chain breakpoint and a misplaced coarse level."""
 
 import copy
 
 import numpy as np
 import pytest
 
+from repro.baselines.dg import DGPlusIndex
 from repro.core import DLIndex, DLPlusIndex
 from repro.data import generate
 from tests.structure_check import assert_structure_sound, structure_faults
@@ -16,7 +18,9 @@ def _faulty(structure) -> dict[str, int]:
     return {name: ids.shape[0] for name, ids in structure_faults(structure).items() if ids.shape[0]}
 
 
-@pytest.mark.parametrize("index_class", [DLIndex, DLPlusIndex], ids=["DL", "DL+"])
+@pytest.mark.parametrize(
+    "index_class", [DLIndex, DLPlusIndex, DGPlusIndex], ids=["DL", "DL+", "DG+"]
+)
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("distribution", ["IND", "ANT"])
 def test_sound_builds_pass(distribution, d, index_class):
@@ -87,3 +91,49 @@ def test_a_misplaced_coarse_level_is_caught(structure):
     node = int(np.nonzero(structure.coarse_levels[: structure.n_real] == 1)[0][0])
     broken.coarse_levels[node] = 2
     assert _faulty(broken)["coarse"] == 1
+
+
+def test_zero_layer_checks_see_the_zero_layer(structure):
+    """The clustered build has pseudo tuples with ∀-children, and a 2-D
+    DL+ build carries the chain breakpoints the check reads."""
+    assert structure.n_pseudo > 0
+    chain = DLPlusIndex(generate("IND", 300, 2, seed=4)).build().structure
+    assert len(chain.seed_selector.partition._ascending_breaks) > 1
+
+
+def test_a_lowered_pseudo_tuple_is_caught(structure):
+    """Lowered below its cluster, a pseudo tuple still weakly dominates its
+    ∀-children, so only the cluster-minimum check sees it."""
+    pseudo = structure.n_real
+    broken = copy.copy(structure)
+    broken.values = structure.values.copy()
+    broken.values[pseudo] = structure.values[pseudo] - 0.05
+    assert _faulty(broken) == {"pseudo_not_child_min": 1}
+
+
+def test_an_l1_tuple_cut_from_its_pseudo_parents_is_caught(structure):
+    parents = np.repeat(np.arange(structure.n_nodes), np.diff(structure.forall_indptr))
+    from_pseudo = parents >= structure.n_real
+    child = int(structure.forall_indices[from_pseudo][0])
+    cut = from_pseudo & (structure.forall_indices == child)
+    keep = ~cut
+    broken = copy.copy(structure)
+    broken.forall_indices = structure.forall_indices[keep]
+    broken.forall_indptr = np.searchsorted(parents[keep], np.arange(structure.n_nodes + 1))
+    broken.forall_parent_count = structure.forall_parent_count.copy()
+    broken.forall_parent_count[child] -= int(cut.sum())
+    faults = _faulty(broken)
+    assert faults["l1_without_pseudo_parent"] == 1
+    assert set(faults) <= {"l1_without_pseudo_parent", "pseudo_not_child_min"}
+
+
+def test_a_decreasing_chain_breakpoint_is_caught():
+    structure = DLPlusIndex(generate("IND", 300, 2, seed=4)).build().structure
+    partition = copy.copy(structure.seed_selector.partition)
+    breaks = list(partition._ascending_breaks)
+    breaks[1] = breaks[0] - 0.01
+    partition._ascending_breaks = breaks
+    broken = copy.copy(structure)
+    broken.seed_selector = copy.copy(structure.seed_selector)
+    broken.seed_selector.partition = partition
+    assert _faulty(broken) == {"chain_breakpoints": 1}

@@ -315,6 +315,39 @@ def test_validation_precedes_admission(loop, forbid_real_sleeps, index):
     close(loop, gateway, clock)
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([0.5, np.nan, 0.5], "weights must be finite"),
+        (
+            [0.5, 0.0, 0.5],
+            "weights must be strictly positive (monotone scoring), "
+            "got [0.5, 0.0, 0.5]",
+        ),
+        ([0.5, 0.5], "expected 3 weights, got 2"),
+        ([[0.2, 0.3, 0.5]], "weight vector must be 1-D, got shape (1, 3)"),
+    ],
+    ids=["nan", "zero", "wrong-width", "2-D"],
+)
+def test_rejected_request_error_text(loop, forbid_real_sleeps, index, weights, message):
+    """A malformed request fails with ``normalize_weights``'s own error
+    text, and so does the same request through ``query_many``."""
+    asyncio.set_event_loop(loop)
+    clock = FakeClock()
+    gateway = make_gateway(index, clock)
+    task = submit(loop, gateway, weights, 5)
+    step(loop)
+    with pytest.raises(InvalidWeightError) as info:
+        task.result()
+    assert str(info.value) == message
+    with pytest.raises(InvalidWeightError) as info:
+        gateway.engine.query_many([([0.2, 0.3, 0.5], 5), (weights, 5)])
+    assert str(info.value) == message
+    assert gateway.accepted == 0
+    assert gateway.engine.metrics.queries == 0
+    close(loop, gateway, clock)
+
+
 def test_closed_gateway_rejects_new_but_drains_admitted(
     loop, forbid_real_sleeps, index
 ):

@@ -25,12 +25,14 @@ from hypothesis.extra.numpy import arrays
 from repro.cluster import ClusterEngine
 from repro.core import DLPlusIndex
 from repro.core.native import native_ready
+from repro.core.query import process_top_k_reference
 from repro.data import generate
-from repro.exceptions import InvalidWeightError
+from repro.exceptions import IndexCapacityError, InvalidWeightError
 from repro.relation import normalize_weights
 from repro.serving import QueryEngine
 from repro.serving.cache import ResultCache
 from repro.serving.engine import normalize_rows
+from repro.stats import AccessCounter
 
 
 @pytest.fixture(scope="module")
@@ -295,3 +297,103 @@ def test_disabled_cache_counts_every_row_as_a_miss(index):
         assert stats["cache_misses"] == stats["queries"]
         assert stats["cache_hits"] == 0.0 and stats["hit_rate"] == 0.0
         assert stats["cache_entries"] == 0.0 and stats["cache_capacity"] == 0.0
+
+
+# ---------------------------------------------------------------------- #
+# One-row inputs: every accepted spelling of a weight vector and of k
+# ---------------------------------------------------------------------- #
+
+
+def _weight_spellings(d):
+    """One weight vector spelled every way the engines accept it."""
+    grid = np.arange(1.0, 1.0 + 3 * d).reshape(d, 3)  # column 1 is strided
+    return [
+        [0.2 * (i + 1) for i in range(d)],
+        tuple(0.7 / (i + 2) for i in range(d)),
+        np.linspace(0.1, 0.9, d, dtype=np.float32),
+        np.arange(1, d + 1),  # an int array
+        grid[:, 1],
+    ]
+
+
+def _reference(index, weights, k):
+    structure = index.structure
+    counter = AccessCounter()
+    ids, scores = process_top_k_reference(
+        structure,
+        normalize_weights(weights, index.relation.d),
+        min(k, index.relation.n),
+        counter,
+    )
+    return ids.tobytes(), scores.tobytes(), (counter.real, counter.pseudo)
+
+
+def _answer(result):
+    return result.ids.tobytes(), result.scores.tobytes()
+
+
+@pytest.mark.parametrize("k", [np.int64(4), 2.0, 300, 1000], ids=["int64", "float", "n", "over-n"])
+def test_one_row_inputs_answer_like_the_reference(index, k):
+    """``query``, ``query_batch`` and ``query_many`` on both engines answer
+    every weight spelling bitwise like the reference walk on the
+    normalised float64 row at ``min(k, n)``.  The single-node engine also
+    matches its Definition-9 counts; the cluster, whose counts sum over
+    shards, matches its own counts on the canonical float64 row."""
+    d = index.relation.d
+    spellings = _weight_spellings(d)
+    for engine in engines(index, 0):
+        for weights in spellings:
+            expected = _reference(index, weights, int(k))
+            canonical = np.asarray(weights, dtype=np.float64)
+            answers = [
+                engine.query(weights, k),
+                engine.query_batch(weights, k)[0],
+                engine.query_batch([weights], [k])[0],
+                engine.query_many([(weights, k)])[0],
+            ]
+            if isinstance(engine, ClusterEngine):
+                counts = engine.query(canonical, int(k)).counter
+                counts = (counts.real, counts.pseudo)
+            else:
+                counts = expected[2]
+            for result in answers:
+                assert _answer(result) == expected[:2]
+                assert (result.counter.real, result.counter.pseudo) == counts
+
+
+def test_k_beyond_n_shares_the_clamped_cache_entry(index):
+    """k >= n is clamped to n before the cache key is made: a k=n query
+    after a k=n+5 query (and the other way round) is a cache hit."""
+    n = index.relation.n
+    rng = np.random.default_rng(31)
+    for engine in engines(index, 16):
+        first, second = rng.dirichlet(np.ones(3), size=2)
+        computed = engine.query(first, n + 5)
+        hit = engine.query(first, n)
+        assert hit.cost == 0 and _answer(hit) == _answer(computed)
+        computed = engine.query_batch(second[None, :], [n])[0]
+        hit = engine.query_many([(second, np.int64(10 * n))])[0]
+        assert hit.cost == 0 and _answer(hit) == _answer(computed)
+        assert engine.cache.stats()["entries"] == 2
+
+
+def test_k_beyond_the_built_layers_raises_capacity_error():
+    """An incomplete structure (``max_layers`` below k) refuses k beyond
+    its layers on every entry point of both engines."""
+    relation = generate("IND", 300, 3, seed=72)
+    partial = DLPlusIndex(relation, max_layers=4).build()
+    assert not partial.structure.complete
+    w = np.array([0.2, 0.3, 0.5])
+    for engine in (
+        QueryEngine(partial, cache_size=8),
+        ClusterEngine(relation, shards=2, cache_size=8, index_kwargs={"max_layers": 4}),
+    ):
+        assert len(engine.query(w, 4).ids) == 4
+        for call in (
+            lambda: engine.query(w, 5),
+            lambda: engine.query_batch(w[None, :], np.int64(5)),
+            lambda: engine.query_batch(np.stack([w, w[::-1]]), [4, 5]),
+            lambda: engine.query_many([(w, 5.0)]),
+        ):
+            with pytest.raises(IndexCapacityError):
+                call()

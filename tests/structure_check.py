@@ -17,7 +17,17 @@ each is exact — no tolerance anywhere:
   ∀ in-degree;
 * ``exists_single_not_leq``: nodes gated by a single ∃-parent in the
   previous fine sublayer that does not weakly dominate them (a one-point
-  ∃-dominance set is sound only with ``λ = 1``, i.e. plain weak dominance).
+  ∃-dominance set is sound only with ``λ = 1``, i.e. plain weak dominance);
+* ``pseudo_not_child_min``: clustered zero-layer pseudo tuples (§V-B) that
+  are not the componentwise minimum of their ∀-children, or have none.  A
+  pseudo tuple's ∀-children are the L¹ tuples it weakly dominates, and its
+  own cluster attains each minimum, so the two are equal; a pseudo tuple
+  lowered below its cluster still passes ``pseudo_forall_not_leq``;
+* ``l1_without_pseudo_parent``: L¹ real tuples of a clustered zero-layer
+  build with no pseudo ∀-parent (every L¹ tuple lies in some cluster);
+* ``chain_breakpoints``: positions where the 2-D chain zero layer's
+  (§V-A) ascending weight-range breakpoints leave ``[0, 1]`` or decrease
+  (ties are allowed: near-collinear chain vertices give zero-width ranges).
 
 Multi-parent ∃ covers need a convex-combination certificate (Def. 5) and
 are not checked here.
@@ -110,6 +120,38 @@ def structure_faults(structure) -> dict[str, np.ndarray]:
     single = sublayer_edge & (hops[e_child] == 1)
     single_bad = single & ~np.all(values[e_parent] <= values[e_child], axis=1)
 
+    # Clustered zero layer: each pseudo tuple is the exact componentwise
+    # minimum of its ∀-children (edges are parent-major, so each pseudo
+    # tuple's children are one contiguous run).
+    from_pseudo = f_parent >= n_real
+    pseudo_children = f_child[from_pseudo]
+    runs = np.bincount(f_parent[from_pseudo] - n_real, minlength=n_nodes - n_real)
+    bare = runs == 0
+    starts = (np.cumsum(runs) - runs)[~bare]
+    minima = (
+        np.minimum.reduceat(values[pseudo_children], starts, axis=0)
+        if starts.shape[0]
+        else np.empty((0, values.shape[1]))
+    )
+    clothed = np.nonzero(~bare)[0] + n_real
+    off_min = clothed[np.any(minima != values[clothed], axis=1)]
+
+    orphans = np.empty(0, dtype=np.intp)
+    if n_nodes > n_real:
+        covered = np.zeros(n_real, dtype=bool)
+        covered[pseudo_children[pseudo_children < n_real]] = True
+        orphans = np.nonzero((coarse[:n_real] == 0) & ~covered)[0]
+
+    partition = getattr(structure.seed_selector, "partition", None)
+    breaks = np.asarray(
+        partition._ascending_breaks if partition is not None else [], dtype=np.float64
+    )
+    bad_breaks = np.nonzero(
+        (breaks < 0.0)
+        | (breaks > 1.0)
+        | np.concatenate([[False], breaks[1:] < breaks[:-1]])[: breaks.shape[0]]
+    )[0]
+
     return {
         "coarse": np.nonzero(coarse[:n_real] != peel)[0],
         "forall_not_leq": f_child[not_leq],
@@ -119,6 +161,9 @@ def structure_faults(structure) -> dict[str, np.ndarray]:
             np.bincount(f_child, minlength=n_nodes) != structure.forall_parent_count
         )[0],
         "exists_single_not_leq": e_child[single_bad],
+        "pseudo_not_child_min": np.union1d(np.nonzero(bare)[0] + n_real, off_min),
+        "l1_without_pseudo_parent": orphans,
+        "chain_breakpoints": bad_breaks,
     }
 
 
