@@ -37,7 +37,7 @@ from repro.core.native import (  # noqa: E402
     native_process_top_k,
     native_ready,
     native_supported,
-    native_walk_many,
+    native_walk_lanes,
 )
 from repro.core.native import build as native_build  # noqa: E402
 from repro.core.native import kernel as native_kernel_mod  # noqa: E402
@@ -107,26 +107,26 @@ def _structure(family: str, d: int, index_cls):
 
 
 def assert_many_lanes_match(structure, weights, ks, prune, workspace=None):
-    """One ``native_walk_many`` call vs per-lane python walks: byte-equal
+    """One ``native_walk_lanes`` call vs per-lane python walks: byte-equal
     ids and scores against the per-node reference oracle, and exact
     real/pseudo counts against the reference (unpruned) or the pruned
     csr kernel (the reference has no pruning path)."""
     weights = np.asarray(weights, dtype=np.float64)
-    ids, scores, n_answers, counts = native_walk_many(
+    lanes = native_walk_lanes(
         structure, weights, ks, prune=prune, workspace=workspace
     )
     ks = np.broadcast_to(np.asarray(ks), (weights.shape[0],))
-    assert ids.shape == scores.shape == (weights.shape[0], ids.shape[1])
+    assert len(lanes) == weights.shape[0]
     for lane, (w, k) in enumerate(zip(weights, ks.tolist())):
+        ids, scores, real, pseudo = lanes[lane]
         ref_counter = AccessCounter()
         ref_ids, ref_scores = process_top_k_reference(structure, w, k, ref_counter)
-        n = int(n_answers[lane])
-        assert ids[lane, :n].tobytes() == ref_ids.tobytes(), f"lane {lane} ids"
-        assert scores[lane, :n].tobytes() == ref_scores.tobytes(), f"lane {lane}"
+        assert ids.tobytes() == ref_ids.tobytes(), f"lane {lane} ids"
+        assert scores.tobytes() == ref_scores.tobytes(), f"lane {lane}"
         if prune:
             ref_counter = AccessCounter()
             process_top_k(structure, w, k, ref_counter, prune=True)
-        assert tuple(counts[lane]) == (ref_counter.real, ref_counter.pseudo), (
+        assert (real, pseudo) == (ref_counter.real, ref_counter.pseudo), (
             f"lane {lane} Definition-9 counts"
         )
 
@@ -188,15 +188,15 @@ def test_walk_many_rejects_malformed_calls():
     structure = _structure("IND", 3, DLIndex)
     w = np.full((2, 3), 1 / 3)
     with pytest.raises(ValueError):
-        native_walk_many(structure, w[:, :2], 5)  # wrong width
+        native_walk_lanes(structure, w[:, :2], 5)  # wrong width
     with pytest.raises(ValueError):
-        native_walk_many(structure, w, [5, 5, 5])  # one k per lane
+        native_walk_lanes(structure, w, [5, 5, 5])  # one k per lane
     with pytest.raises(ValueError):
-        native_walk_many(structure, w, 5, seeds=[np.array([0]), np.array([10**6])])
+        native_walk_lanes(structure, w, 5, seeds=[np.array([0]), np.array([10**6])])
     d = NATIVE_MAX_DIM + 1
     index = DLIndex(generate("IND", 150, d, seed=21)).build()
     with pytest.raises(ValueError):
-        native_walk_many(index.structure, np.full((1, d), 1 / d), 5)
+        native_walk_lanes(index.structure, np.full((1, d), 1 / d), 5)
     assert dispatch.select_kernel(index.structure) == "csr"
     forced = QueryEngine(index, cache_size=0, kernel="native")
     forced.query_batch(np.random.default_rng(8).dirichlet(np.ones(d), size=16), 5)
