@@ -22,10 +22,6 @@ one.  The last full-scale kernel measurement sets the order
   wins: pops open only a handful of children there, and the fixed cost
   of whole-slice numpy ops exceeds the python loop it replaces.
 
-When pruning is requested, ``auto`` also checks that the structure
-carries a bound table (structures frozen without bounds cannot serve a
-pruning-dependent plan, so ``auto`` falls back to a bound-free kernel).
-
 The native kernel is reached through :func:`get_jit_kernel`, which
 builds the bundled C walker's ``.so`` with the host compiler on first
 use.  When no compiler is present or the build fails, the ``auto`` path
@@ -120,23 +116,12 @@ def select_kernel(
     n_nodes: int | None = None,
     d: int | None = None,
     batch_width: int = 1,
-    prune: bool = False,
-    has_bounds: bool | None = None,
 ) -> str:
     """Pick the concrete kernel for an ``auto`` dispatch.
 
     Pass either a built ``structure`` or explicit ``n_nodes``/``d``
     (both required in that case). ``batch_width`` is the number of
     queries sharing one traversal opportunity (same effective k).
-    ``prune`` says the caller wants layer-bound skipping; pruning is a
-    property of the csr/batch/native kernels only, and only on
-    structures that carry a bound table, so ``prune=True`` with bounds
-    present steers the small-structure case away from ``"reference"``
-    (which cannot prune), while ``prune=True`` without bounds changes
-    nothing — the caller must run unpruned anyway. ``has_bounds``
-    overrides the structure's own
-    :attr:`~repro.core.structure.LayerStructure.has_layer_bounds`
-    when dispatching from shape alone.
 
     Returns one of ``"native"``, ``"batch"``, ``"reference"``,
     ``"csr"`` — never ``"auto"``.  ``"native"`` is returned whenever the
@@ -151,10 +136,8 @@ def select_kernel(
         raise ValueError("select_kernel needs a structure or both n_nodes and d")
     if native_kernel_usable(n_nodes, d):
         return "native"
-    if has_bounds is None:
-        has_bounds = structure is not None and structure.has_layer_bounds
     if batch_width >= AUTO_BATCH_MIN_LANES:
         return "batch"
     if n_nodes <= AUTO_SMALL_STRUCTURE_NODES and d <= AUTO_SMALL_STRUCTURE_DIM:
-        return "csr" if (prune and has_bounds) else "reference"
+        return "reference"
     return "csr"

@@ -61,17 +61,9 @@ typedef struct {
     double *heap_scores;
     int64_t *heap_ids;
     int64_t *opened;
-    double *kth;
-    const int64_t *sub_of;
-    const double *sub_mins;
-    int64_t n_sub_rows;
-    const int64_t *block_of;
-    const double *block_mins;
-    int64_t n_block_rows;
-    uint8_t *pruned_sub;
 } repro_walk_ctx;
 void repro_walk_many(
-    const repro_walk_ctx *ctx, int32_t prune,
+    const repro_walk_ctx *ctx,
     int64_t n_lanes, const double *weights,
     const int64_t *seed_indptr, const int64_t *seed_ids,
     int64_t out_stride, int64_t *block, double *out_scores);

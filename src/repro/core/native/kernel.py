@@ -187,12 +187,12 @@ class _Prepared:
     """Per-structure buffers and the C context struct that points at them.
 
     Built once per structure (template identity) and reused by every
-    call: the context holds the structure arrays, the static seeds, the
-    workspace scratch and — once a pruned walk needs them — the bound
-    tables, so a call passes one pointer instead of re-marshalling each.
+    call: the context holds the structure arrays, the static seeds and
+    the workspace scratch, so a call passes one pointer instead of
+    re-marshalling each.
     """
 
-    __slots__ = ("template", "arrays", "ctx", "prune_arrays")
+    __slots__ = ("template", "arrays", "ctx")
 
     def __init__(self, structure: LayerStructure) -> None:
         if not native_supported(structure):
@@ -216,13 +216,11 @@ class _Prepared:
         heap_scores = np.empty(n, dtype=np.float64)
         heap_ids = np.empty(n, dtype=np.int64)
         opened = np.empty(n, dtype=np.int64)
-        kth = np.empty(max(n, 1), dtype=np.float64)
         # Keep every backing array referenced for as long as the context
         # points at it — cffi casts do not own the memory.
         self.arrays = (
             values, f_indptr, f_indices, e_indptr, e_indices, static_seeds,
             template, state, dirty, touched, heap_scores, heap_ids, opened,
-            kth,
         )
         ctx = ffi.new("repro_walk_ctx *")
         ctx.n_nodes = n
@@ -243,31 +241,7 @@ class _Prepared:
         ctx.heap_scores = ffi.cast("double *", heap_scores.ctypes.data)
         ctx.heap_ids = ffi.cast("int64_t *", heap_ids.ctypes.data)
         ctx.opened = ffi.cast("int64_t *", opened.ctypes.data)
-        ctx.kth = ffi.cast("double *", kth.ctypes.data)
         self.ctx = ctx
-        self.prune_arrays = None
-
-    def attach_bounds(self, structure: LayerStructure) -> None:
-        """Gather, pin and point the context at the bound tables (once)."""
-        if self.prune_arrays is not None:
-            return
-        ffi = _ffi
-        block_of, block_mins = structure.layer_bound_table()
-        sub_of, sub_mins = structure.sublayer_bound_table()
-        block_of = _i64(block_of)
-        block_mins = np.ascontiguousarray(block_mins, dtype=np.float64)
-        sub_of = _i64(sub_of)
-        sub_mins = np.ascontiguousarray(sub_mins, dtype=np.float64)
-        pruned_sub = np.zeros(sub_mins.shape[0], dtype=np.uint8)
-        self.prune_arrays = (block_of, block_mins, sub_of, sub_mins, pruned_sub)
-        ctx = self.ctx
-        ctx.sub_of = ffi.cast("int64_t *", sub_of.ctypes.data)
-        ctx.sub_mins = ffi.cast("double *", sub_mins.ctypes.data)
-        ctx.n_sub_rows = sub_mins.shape[0]
-        ctx.block_of = ffi.cast("int64_t *", block_of.ctypes.data)
-        ctx.block_mins = ffi.cast("double *", block_mins.ctypes.data)
-        ctx.n_block_rows = block_mins.shape[0]
-        ctx.pruned_sub = ffi.cast("uint8_t *", pruned_sub.ctypes.data)
 
 
 class NativeWorkspace:
@@ -318,7 +292,6 @@ def native_walk_lanes(
     weights_matrix: np.ndarray,
     ks,
     *,
-    prune: bool = False,
     workspace: NativeWorkspace | None = None,
     seeds: list[np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
@@ -399,13 +372,11 @@ def native_walk_lanes(
             prepared = workspace._checkout(structure)
         else:
             prepared = _Prepared(structure)
-        if prune:
-            prepared.attach_bounds(structure)
         try:
             # from_buffer checks contiguity and keeps the array alive for
             # the call (several times cheaper than casting .ctypes.data).
             lib.repro_walk_many(
-                prepared.ctx, 1 if prune else 0, n_lanes,
+                prepared.ctx, n_lanes,
                 ffi.from_buffer(_doubles, weights), indptr_ptr, ids_ptr,
                 stride, ffi.from_buffer(_int64s, block),
                 ffi.from_buffer(_doubles, scores),
@@ -440,7 +411,6 @@ def native_process_top_k(
     counter,
     fetch_real=None,
     seeds=None,
-    prune: bool = False,
     workspace: NativeWorkspace | None = None,
 ):
     """Compiled :func:`~repro.core.query.process_top_k` — same contract.
@@ -461,13 +431,12 @@ def native_process_top_k(
     ):
         return process_top_k(
             structure, weights, k, counter,
-            fetch_real=fetch_real, seeds=seeds, prune=prune,
+            fetch_real=fetch_real, seeds=seeds,
         )
     [(ids, scores, real, pseudo)] = native_walk_lanes(
         structure,
         np.asarray(weights, dtype=np.float64).reshape(1, -1),
         k,
-        prune=prune,
         workspace=workspace,
         seeds=None if seeds is None else [seeds[0]],
     )

@@ -12,11 +12,6 @@
  *   - Heap keys (score, node) are unique — every node is enqueued at
  *     most once — so any correct binary min-heap pops the exact
  *     sequence heapq does; we need not mimic heapq's sift internals.
- *   - Pruning replicates the classic kernel's batch semantics: all
- *     prune decisions inside one opened batch compare against the k-th
- *     floor as of batch start; scores (and k-th updates) happen after
- *     the whole batch is filtered.  Definition-9 real/pseudo counts
- *     come out exact, not approximate.
  *
  * Compiled with -ffp-contract=off: a fused multiply-add would change
  * result bits and break the identity contract.
@@ -27,8 +22,8 @@
  * next lane — and the next call — reuses the same buffers unconditionally.
  */
 
+#include <stddef.h>
 #include <stdint.h>
-#include <string.h>
 
 /* Per-row dot product matching numpy einsum's "j,j->" reduction order
  * for d <= 7: two accumulator lanes over even/odd indices, products
@@ -98,48 +93,10 @@ static void heap_pop(double *hs, int64_t *hi, int64_t *size,
     hi[i] = last_i;
 }
 
-/* Bounded max-heap of the k smallest real scores seen so far; its root
- * is the running k-th floor.  Matches python's negated-min-heap: the
- * multiset "k smallest so far" is order-independent, and only the root
- * (the k-th smallest) is ever read. */
-static void kth_note(double *kh, int64_t *len, int64_t k, double *kth,
-                     double score) {
-    if (*len < k) {
-        int64_t i = (*len)++;
-        while (i > 0) {
-            int64_t parent = (i - 1) >> 1;
-            if (kh[parent] >= score)
-                break;
-            kh[i] = kh[parent];
-            i = parent;
-        }
-        kh[i] = score;
-        if (*len == k)
-            *kth = kh[0];
-    } else if (score < *kth) {
-        int64_t i = 0;
-        for (;;) {
-            int64_t child = 2 * i + 1;
-            if (child >= k)
-                break;
-            if (child + 1 < k && kh[child + 1] > kh[child])
-                child++;
-            if (kh[child] <= score)
-                break;
-            kh[i] = kh[child];
-            i = child;
-        }
-        kh[i] = score;
-        *kth = kh[0];
-    }
-}
-
-#define POS_INF (1.0 / 0.0)
-
 /* Everything one walk reads or scribbles on except the query itself:
- * the frozen structure, its static seeds, the workspace buffers and the
- * (lazily attached) pruning bound tables.  The python side fills one of
- * these per prepared structure and passes its address on every call. */
+ * the frozen structure, its static seeds and the workspace buffers.  The
+ * python side fills one of these per prepared structure and passes its
+ * address on every call. */
 typedef struct {
     int64_t n_nodes, n_real, d;
     const double *values;
@@ -156,28 +113,19 @@ typedef struct {
     double *heap_scores;
     int64_t *heap_ids;
     int64_t *opened;
-    double *kth;
-    /* pruning (NULL until a pruned walk first needs them) */
-    const int64_t *sub_of;
-    const double *sub_mins;
-    int64_t n_sub_rows;
-    const int64_t *block_of;
-    const double *block_mins;
-    int64_t n_block_rows;
-    uint8_t *pruned_sub;
 } repro_walk_ctx;
 
 /* One lane: the classic walk for one weight vector.  Writes at most
  * min(k, n_real) answers and returns how many it wrote. */
 static int64_t walk_one(
-    const repro_walk_ctx *c, int32_t prune,
+    const repro_walk_ctx *c,
     const double *weights, int64_t k,
     const int64_t *seed_ids, int64_t n_seeds,
     int64_t *out_ids, double *out_scores, int64_t *counts_out)
 {
     /* Copy every context field into a local first: the uint8_t dirty
-     * and pruned_sub stores may alias anything, so fields read through
-     * the struct pointer would be reloaded from memory after each one. */
+     * stores may alias anything, so fields read through the struct
+     * pointer would be reloaded from memory after each one. */
     const int64_t n_real = c->n_real, d = c->d;
     const int32_t exists_offset = c->exists_offset;
     const double *values = c->values;
@@ -190,26 +138,12 @@ static int64_t walk_one(
     double *heap_scores = c->heap_scores;
     int64_t *heap_ids = c->heap_ids;
     int64_t *opened_buf = c->opened;
-    double *kth_buf = c->kth;
-    const int64_t *sub_of = c->sub_of, *block_of = c->block_of;
-    const double *sub_mins = c->sub_mins, *block_mins = c->block_mins;
-    const int64_t n_sub_rows = c->n_sub_rows, n_block_rows = c->n_block_rows;
-    uint8_t *pruned_sub = c->pruned_sub;
     int64_t heap_size = 0, touched_len = 0;
     int64_t real_acc = 0, pseudo_acc = 0;
-    int64_t kth_len = 0;
-    double kth_score = POS_INF;
     int64_t n_ans = 0;
-    const int fold_kth = prune && k > 0;
-
-    if (prune)
-        memset(pruned_sub, 0, (size_t)n_sub_rows);
 
     /* Seed enqueue: score (the dot product the loader checked against
-     * seed_scores' "ij,j->i" einsum), stamp, count, push, and fold real
-     * seed scores into the k-th floor.  Pushes never read the floor, so
-     * folding as we go sees the same sequence of scores as the python
-     * kernels' fold-after-push loop. */
+     * seed_scores' "ij,j->i" einsum), stamp, count and push. */
     for (int64_t s = 0; s < n_seeds; s++) {
         int64_t node = seed_ids[s];
         double score = dot_pair(values + node * d, weights, d);
@@ -218,13 +152,10 @@ static int64_t walk_one(
             touched[touched_len++] = node;
         }
         state[node] = -1;
-        if (node < n_real) {
+        if (node < n_real)
             real_acc++;
-            if (fold_kth)
-                kth_note(kth_buf, &kth_len, k, &kth_score, score);
-        } else {
+        else
             pseudo_acc++;
-        }
         heap_push(heap_scores, heap_ids, &heap_size, score, node);
     }
 
@@ -266,54 +197,17 @@ static int64_t walk_one(
                     opened_buf[n_open++] = child;
             }
         }
-        if (n_open == 0)
-            continue;
 
-        /* Access batch: stamp every opened node as enqueued first (even
-         * ones about to be pruned — they are dropped *as if* pushed). */
-        for (int64_t i = 0; i < n_open; i++)
-            state[opened_buf[i]] = -1;
-
-        if (prune) {
-            /* Filter against the k-th floor as of batch start.  A flag
-             * set at level 2 by an earlier node in this batch short-
-             * circuits later same-sublayer nodes at level 1 — the same
-             * drop the bound recheck would produce, since kth_score is
-             * frozen for the whole batch. */
-            int64_t kept = 0;
-            for (int64_t i = 0; i < n_open; i++) {
-                int64_t child = opened_buf[i];
-                int64_t sub = sub_of[child];
-                if (sub < 0)
-                    sub += n_sub_rows; /* unplaced: trailing -inf sentinel */
-                if (pruned_sub[sub])
-                    continue; /* level 1: sublayer already proven prunable */
-                double sub_bound = dot_pair(sub_mins + sub * d, weights, d);
-                if (sub_bound > kth_score) {
-                    pruned_sub[sub] = 1; /* level 2: prune for the query */
-                    continue;
-                }
-                int64_t block = block_of[child];
-                if (block < 0)
-                    block += n_block_rows;
-                double bound = dot_pair(block_mins + block * d, weights, d);
-                if (bound > kth_score)
-                    continue; /* level 3: exact block bound */
-                opened_buf[kept++] = child;
-            }
-            n_open = kept;
-        }
-
+        /* Access batch: stamp every opened node as enqueued, score it and
+         * push it. */
         for (int64_t i = 0; i < n_open; i++) {
             int64_t child = opened_buf[i];
+            state[child] = -1;
             double child_score = dot_pair(values + child * d, weights, d);
-            if (child < n_real) {
+            if (child < n_real)
                 real_acc++;
-                if (fold_kth)
-                    kth_note(kth_buf, &kth_len, k, &kth_score, child_score);
-            } else {
+            else
                 pseudo_acc++;
-            }
             heap_push(heap_scores, heap_ids, &heap_size, child_score, child);
         }
     }
@@ -345,7 +239,7 @@ static int64_t walk_one(
  * i's seeds are seed_ids[seed_indptr[i] .. seed_indptr[i+1])
  * (weight-range selectors, which pick seeds per query). */
 void repro_walk_many(
-    const repro_walk_ctx *ctx, int32_t prune,
+    const repro_walk_ctx *ctx,
     int64_t n_lanes, const double *weights,
     const int64_t *seed_indptr, const int64_t *seed_ids,
     int64_t out_stride, int64_t *block, double *out_scores)
@@ -362,7 +256,7 @@ void repro_walk_many(
             n_seeds = seed_indptr[lane + 1] - seed_indptr[lane];
         }
         out_n[lane] = walk_one(
-            ctx, prune, weights + lane * ctx->d, ks[lane], seeds, n_seeds,
+            ctx, weights + lane * ctx->d, ks[lane], seeds, n_seeds,
             out_ids + lane * out_stride, out_scores + lane * out_stride,
             out_counts + 2 * lane);
     }

@@ -236,7 +236,6 @@ def process_top_k(
     counter: AccessCounter,
     fetch_real=None,
     seeds: tuple[np.ndarray, np.ndarray] | None = None,
-    prune: bool = False,
     workspace: QueryWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(ids, scores)`` of the top-k real tuples, ascending by score.
@@ -257,37 +256,6 @@ def process_top_k(
     come from storage.  ``workspace`` (see :class:`QueryWorkspace`)
     amortizes gate-state initialisation across queries; omitting it keeps
     the kernel a pure function.
-
-    Layer-bound skipping (``prune=True``)
-    -------------------------------------
-    The structure's layer bound table
-    (:meth:`~repro.core.structure.LayerStructure.layer_bound_table`)
-    assigns every placed node to a value-sorted block of its sublayer and
-    stores per-block per-attribute minima; ``block_mins[b] @ w`` —
-    computed with the kernel's own einsum contraction, so its rounding
-    tree matches :func:`score_rows` — is a lower bound on the score of
-    every member of block ``b``.  The kernel tracks ``s_k``, the k-th
-    smallest *real* score accessed so far (a bounded max-heap).  A
-    just-opened child whose block bound strictly exceeds ``s_k`` would pop
-    strictly after the k-th answer (its score ≥ bound > ``s_k`` ≥ the
-    final k-th answer score), so it is stamped as enqueued and dropped
-    **without being scored**: emitted ids and scores stay bitwise
-    identical to the unpruned run while the Definition 9 access count
-    drops.  The check is hierarchical: a sublayer-level bound table
-    (:meth:`~repro.core.structure.LayerStructure.sublayer_bound_table`)
-    is consulted first, and a sublayer whose bound already exceeds
-    ``s_k`` is remembered for the rest of the query — the k-th floor only
-    descends, so the verdict can never be invalidated, and later children
-    from that sublayer skip the per-node block gather entirely.  The drop
-    *set* is provably identical to a block-only check (a sublayer minimum
-    lower-bounds all of its blocks' minima), so pruned access counts stay
-    bitwise compatible with the block-only batch kernel.  Bounds are
-    gathered lazily, per opened batch — no per-query O(n) precompute.
-    The bound comparison is only sound against einsum-scored nodes, so
-    pruning is ignored when ``fetch_real`` rescoring is in effect; it is
-    off by default because the access count is part of the
-    kernel-equivalence contract (pruned runs report *fewer* accesses by
-    design).
     """
     if not structure.complete and k > structure.num_coarse_layers:
         raise IndexCapacityError(
@@ -311,7 +279,7 @@ def process_top_k(
         try:
             result = _solo_walk(
                 structure, weights, k, counter, fetch_real, trace_hook,
-                seeds, prune, state, touched,
+                seeds, state, touched,
             )
         except BaseException:
             if ws_acquired:
@@ -334,7 +302,6 @@ def _solo_walk(
     fetch_real,
     trace_hook,
     seeds: tuple[np.ndarray, np.ndarray] | None,
-    prune: bool,
     state: np.ndarray,
     touched: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -354,31 +321,6 @@ def _solo_walk(
     heap: list[tuple[float, int]] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
-    heapreplace = heapq.heapreplace
-
-    # Layer-bound skipping state (see process_top_k's docstring).
-    # ``kth_score`` is +inf until k real tuples have been accessed, which
-    # disables skipping (every finite bound passes); unplaced nodes
-    # (``block_of == -1``) gather the tables' trailing -inf sentinel rows
-    # and are likewise never skipped.
-    prune_blocks = prune_mins = prune_subs = sub_mins = pruned_sub = None
-    kth_heap: list[float] = []
-    kth_score = np.inf
-    if prune and fetch_real is None:
-        prune_blocks, prune_mins = structure.layer_bound_table()
-        prune_subs, sub_mins = structure.sublayer_bound_table()
-        pruned_sub = np.zeros(sub_mins.shape[0], dtype=bool)
-
-    def kth_note(score: float) -> None:
-        """Fold one real-tuple score into the running k-th smallest."""
-        nonlocal kth_score
-        if len(kth_heap) < k:
-            heappush(kth_heap, -score)
-            if len(kth_heap) == k:
-                kth_score = -kth_heap[0]
-        elif score < kth_score:
-            heapreplace(kth_heap, -score)
-            kth_score = -kth_heap[0]
 
     count_real = counter.count_real
     count_pseudo = counter.count_pseudo
@@ -387,50 +329,9 @@ def _solo_walk(
         """Score and enqueue just-opened nodes (counts toward Definition 9)."""
         state[opened] = -1
         t_append(opened)
-        if prune_blocks is not None:
-            # Drop children whose bound already beats the running k-th
-            # score *before* scoring them — the skipped access is the
-            # saving.  Stamping above still marks them enqueued, exactly
-            # as if they had been pushed (they would never pop in time).
-            # Level 1: sublayers already proven prunable this query.
-            subs = prune_subs[opened]
-            flags = pruned_sub[subs]
-            if flags.any():
-                keep = ~flags
-                opened = opened[keep]
-                if not opened.shape[0]:
-                    return
-                subs = subs[keep]
-            # Level 2: sublayer bounds — a hit prunes the whole sublayer
-            # for the rest of the query (the k-th floor only descends).
-            sub_bounds = _einsum("ij,j->i", sub_mins[subs], weights)
-            drop = sub_bounds > kth_score
-            if drop.any():
-                pruned_sub[subs[drop]] = True
-                opened = opened[~drop]
-                if not opened.shape[0]:
-                    return
-            # Level 3: exact block bounds for the survivors.
-            bounds = _einsum("ij,j->i", prune_mins[prune_blocks[opened]], weights)
-            keep = bounds <= kth_score
-            if not keep.all():
-                opened = opened[keep]
-                if not opened.shape[0]:
-                    return
         if fetch_real is None:
             scores = _einsum("ij,j->i", values[opened], weights)
-            if prune_blocks is not None:
-                real = 0
-                for child, score in zip(opened.tolist(), scores.tolist()):
-                    if child < n_real:
-                        real += 1
-                        if trace_hook is not None:
-                            trace_hook(child)
-                        kth_note(score)
-                    heappush(heap, (score, child))
-                count_real(real)
-                count_pseudo(opened.shape[0] - real)
-            elif trace_hook is None:
+            if trace_hook is None:
                 real = 0
                 for child, score in zip(opened.tolist(), scores.tolist()):
                     if child < n_real:
@@ -491,12 +392,6 @@ def _solo_walk(
                     count_pseudo()
                 heap.append((score, node))
         heapq.heapify(heap)
-        if prune_blocks is not None:
-            # Seed accesses count toward s_k too — folding them in up
-            # front lets the bound start biting as early as possible.
-            for node, score in zip(seed_ids.tolist(), precomputed.tolist()):
-                if node < n_real:
-                    kth_note(score)
 
     answer_ids: list[int] = []
     answer_scores: list[float] = []
@@ -612,7 +507,6 @@ def process_top_k_batch(
     fetch_real=None,
     seeds=None,
     workspace: BatchWorkspace | None = None,
-    prune: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Run B top-k queries through one lane-parallel traversal.
 
@@ -671,15 +565,6 @@ def process_top_k_batch(
     result per lane; ignored when ``fetch_real`` is given.  ``workspace``
     (see :class:`BatchWorkspace`) amortizes gate-state initialisation
     across batches; omitting it keeps the kernel a pure function.
-
-    ``prune=True`` enables per-lane layer-bound skipping with the same
-    semantics as the per-query kernel (see :func:`process_top_k`): each
-    lane tracks its own k-th smallest real score, the per-lane bound
-    matrix comes from the GEMM-shaped contraction (bitwise equal per
-    column to the per-query bound vector), and a pruned batch lane's ids,
-    scores, *and* access counts are bitwise identical to the pruned
-    per-query kernel on that lane alone.  Ignored when ``fetch_real`` is
-    given.
     """
     weights_matrix = np.asarray(weights_matrix, dtype=np.float64)
     if weights_matrix.ndim != 2:
@@ -730,35 +615,11 @@ def process_top_k_batch(
 
         heappush = heapq.heappush
         heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
         heaps: list[list[tuple[float, int]]] = [[] for _ in range(n_lanes)]
         answer_ids: list[list[int]] = [[] for _ in range(n_lanes)]
         answer_scores: list[list[float]] = [[] for _ in range(n_lanes)]
         trace_hooks = [getattr(c, "count_real_tuple", None) for c in counters]
         any_hook = any(hook is not None for hook in trace_hooks)
-
-        # Per-lane layer-bound skipping state (see process_top_k): a
-        # (node, lane) pair's bound is gathered lazily from the block
-        # metadata with the paired contraction — bitwise equal to the
-        # per-query kernel's per-row bound, so a pruned lane skips exactly
-        # the nodes its solo pruned run would skip (identical ids, scores,
-        # and access counts).
-        prune_blocks = prune_mins = None
-        if prune and fetch_real is None:
-            prune_blocks, prune_mins = structure.layer_bound_table()
-            kth_heaps: list[list[float]] = [[] for _ in range(n_lanes)]
-            kth_scores = np.full(n_lanes, np.inf)
-
-        def kth_note(lane: int, score: float) -> None:
-            """Fold a real score into ``lane``'s running k-th smallest."""
-            kh = kth_heaps[lane]
-            if len(kh) < ks[lane]:
-                heappush(kh, -score)
-                if len(kh) == ks[lane]:
-                    kth_scores[lane] = -kh[0]
-            elif score < kth_scores[lane]:
-                heapreplace(kh, -score)
-                kth_scores[lane] = -kh[0]
 
         # Fresh contiguous per-lane weight copies for the paths that score
         # one node at a time: a row view's alignment depends on the lane
@@ -795,10 +656,6 @@ def process_top_k_batch(
                 heaps[lane] = heap
                 counters[lane].count_real(real_seeds)
                 counters[lane].count_pseudo(pseudo_seeds)
-                if prune_blocks is not None:
-                    for score, node in heap:
-                        if node < n_real:
-                            kth_note(lane, score)
             lane_range: range | tuple = ()
         else:
             lane_weights = [
@@ -862,10 +719,6 @@ def process_top_k_batch(
                         counter.count_pseudo()
                     heap.append((score, node))
             heapq.heapify(heap)
-            if prune_blocks is not None:
-                for node, score in zip(seed_ids.tolist(), precomputed.tolist()):
-                    if node < n_real:
-                        kth_note(lane, score)
 
         # Fast-path Definition 9 bookkeeping: per-lane real/pseudo access
         # totals accumulate in two arrays (one bincount per round) and are
@@ -1051,22 +904,6 @@ def process_top_k_batch(
                 if all_lanes is not None:
                     state_flat[all_flat] = -1
 
-            if all_lanes is not None and prune_blocks is not None:
-                # Per-lane layer-bound skip, after stamping (state already
-                # marks every opened pair enqueued) and before scoring —
-                # the skipped scoring rows and heap pushes are the win.
-                bounds = _einsum(
-                    "ij,ij->i",
-                    prune_mins[prune_blocks[all_children]],
-                    weights_matrix[all_lanes],
-                )
-                keep = bounds <= kth_scores[all_lanes]
-                if not keep.all():
-                    all_children = all_children[keep]
-                    all_lanes = all_lanes[keep]
-                    if not all_lanes.shape[0]:
-                        all_lanes = None
-
             if all_lanes is not None:
                 if fast_counts:
                     # One paired contraction scores every opened (node,
@@ -1079,22 +916,12 @@ def process_top_k_batch(
                     acc_real += np.bincount(
                         all_lanes[all_children < n_real], minlength=n_lanes
                     )
-                    if prune_blocks is None:
-                        for lane, child, score in zip(
-                            all_lanes.tolist(),
-                            all_children.tolist(),
-                            scores.tolist(),
-                        ):
-                            heappush(heaps[lane], (score, child))
-                    else:
-                        for lane, child, score in zip(
-                            all_lanes.tolist(),
-                            all_children.tolist(),
-                            scores.tolist(),
-                        ):
-                            if child < n_real:
-                                kth_note(lane, score)
-                            heappush(heaps[lane], (score, child))
+                    for lane, child, score in zip(
+                        all_lanes.tolist(),
+                        all_children.tolist(),
+                        scores.tolist(),
+                    ):
+                        heappush(heaps[lane], (score, child))
                 elif fetch_real is None:
                     scores = _einsum(
                         "ij,ij->i", values[all_children], weights_matrix[all_lanes]
@@ -1107,8 +934,6 @@ def process_top_k_batch(
                             hook = trace_hooks[lane]
                             if hook is not None:
                                 hook(child)
-                            if prune_blocks is not None:
-                                kth_note(lane, score)
                         else:
                             counters[lane].count_pseudo()
                         heappush(heaps[lane], (score, child))

@@ -320,11 +320,6 @@ class StructureBuilder:
             e_children, e_parents, n_nodes
         )
 
-        layer_bounds = compute_layer_bounds(values, coarse_levels, fine_levels)
-        sublayer_bounds = compute_sublayer_bounds(
-            values, coarse_levels, fine_levels
-        )
-
         return LayerStructure(
             values=values,
             n_real=self.n_real,
@@ -340,148 +335,22 @@ class StructureBuilder:
             fine_levels=fine_levels,
             num_coarse_layers=self.num_coarse_layers,
             complete=self.complete,
-            layer_bounds=layer_bounds,
-            sublayer_bounds=sublayer_bounds,
         )
 
 
-#: Nodes per bound block (see :func:`compute_layer_bounds`).  Small blocks
-#: keep the per-block minima close to their members' actual values — the
-#: measured skip rate roughly halves at 8 and halves again at 16 — while a
-#: block of 4 still keeps the metadata table at a quarter of the data size.
-BOUND_BLOCK_SIZE = 4
-
-
-def compute_layer_bounds(
-    values: np.ndarray,
-    coarse_levels: np.ndarray,
-    fine_levels: np.ndarray,
-    block_size: int = BOUND_BLOCK_SIZE,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The dual-resolution layer bound table: ``(block_of, block_mins)``.
-
-    Every placed node is assigned to a *bound block*: within each
-    ``(coarse, fine)`` sublayer, members are sorted by value (lexicographic
-    over attributes, node id as the final tie-break — fully deterministic)
-    and chunked into runs of ``block_size``.  ``block_mins[b]`` holds the
-    per-attribute minima of block ``b``'s members, so for strictly positive
-    weights ``block_mins[b] @ w`` lower-bounds the score of every member —
-    the same small-metadata-over-sorted-data trick as columnar zonemaps,
-    with the sort making neighbours value-coherent and the bound therefore
-    tight.  The pruned kernels (:func:`repro.core.query.process_top_k`)
-    consult the bound of a just-opened node's block and skip the node when
-    the bound already exceeds the running k-th score.
-
-    ``block_of`` is ``-1`` for unplaced nodes, and ``block_mins`` carries a
-    trailing sentinel row of ``-inf`` so that fancy-indexing with ``-1``
-    lands on a bound no finite score can beat: unplaced nodes are never
-    skipped.
-
-    Within a sublayer, members are ordered by their **value sum** (total
-    across attributes) before chunking.  The bound the kernel compares is
-    ``block_mins[b] @ w`` with positive normalized weights, i.e. a
-    weighted mean of the per-attribute minima — grouping tuples whose
-    totals are close keeps every attribute's block minimum near the
-    members' actual values simultaneously, where the former lexicographic
-    order only kept the *first* attribute coherent and let the minima of
-    the remaining attributes collapse toward the sublayer floor.  Tighter
-    minima raise the bound, which is what lets pruning keep biting at
-    k=64 instead of only at k<=10.  Ties fall back to the full value
-    lexicographic order and finally the node id, so the assignment stays
-    fully deterministic.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    d = values.shape[1] if values.ndim == 2 else 0
-    block_of = np.full(n, -1, dtype=np.intp)
-    placed = np.nonzero(coarse_levels >= 0)[0]
-    if placed.shape[0] == 0:
-        return block_of, np.full((1, d), -np.inf, dtype=np.float64)
-    # lexsort: last key is primary — (coarse, fine, sum, v_0 .. v_{d-1}, id).
-    keys = (placed,) + tuple(
-        values[placed, j] for j in range(d - 1, -1, -1)
-    ) + (values[placed].sum(axis=1), fine_levels[placed], coarse_levels[placed])
-    order = np.lexsort(keys)
-    nodes = placed[order]
-    cl = coarse_levels[nodes]
-    fl = fine_levels[nodes]
-    m = nodes.shape[0]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (cl[1:] != cl[:-1]) | (fl[1:] != fl[:-1])
-    group_id = np.cumsum(new_group) - 1
-    starts = np.nonzero(new_group)[0]
-    chunk = (np.arange(m) - starts[group_id]) // block_size
-    new_block = new_group.copy()
-    new_block[1:] |= chunk[1:] != chunk[:-1]
-    block_id = np.cumsum(new_block) - 1
-    n_blocks = int(block_id[-1]) + 1
-    mins = np.full((n_blocks + 1, d), np.inf, dtype=np.float64)
-    np.minimum.at(mins, block_id, values[nodes])
-    mins[n_blocks] = -np.inf  # sentinel row for block_of == -1
-    block_of[nodes] = block_id
-    return block_of, mins
-
-
-def compute_sublayer_bounds(
-    values: np.ndarray,
-    coarse_levels: np.ndarray,
-    fine_levels: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse level of the bound hierarchy: ``(sublayer_of, sublayer_mins)``.
-
-    One row of per-attribute minima per ``(coarse, fine)`` sublayer —
-    hundreds of rows where the block table has tens of thousands.  Since a
-    sublayer's minimum is <= every one of its blocks' minima, a sublayer
-    bound that already exceeds the running k-th score proves *every* block
-    inside it prunable; the pruned solo kernel caches that verdict per
-    query (the k-th floor only descends, so it can never be invalidated)
-    and skips the per-node block gather for the whole sublayer from then
-    on.  Conversely a sublayer that fails the test costs one extra small
-    gather before the exact block check — the drop *set* is always
-    identical to block-only pruning, which is what keeps the batch kernel
-    (block-only) count-compatible with the solo kernel.
-
-    ``sublayer_of`` is ``-1`` for unplaced nodes and ``sublayer_mins``
-    carries the same trailing ``-inf`` sentinel row as the block table, so
-    unplaced nodes can never be skipped.  Depends only on placements and
-    values — v1 snapshots (which persist no sublayer arrays) rebuild it
-    lazily with bounds identical to a freeze-time computation.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    d = values.shape[1] if values.ndim == 2 else 0
-    sublayer_of = np.full(n, -1, dtype=np.intp)
-    placed = np.nonzero(coarse_levels >= 0)[0]
-    if placed.shape[0] == 0:
-        return sublayer_of, np.full((1, d), -np.inf, dtype=np.float64)
-    order = np.lexsort((fine_levels[placed], coarse_levels[placed]))
-    nodes = placed[order]
-    cl = coarse_levels[nodes]
-    fl = fine_levels[nodes]
-    m = nodes.shape[0]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (cl[1:] != cl[:-1]) | (fl[1:] != fl[:-1])
-    group_id = np.cumsum(new_group) - 1
-    n_subs = int(group_id[-1]) + 1
-    mins = np.full((n_subs + 1, d), np.inf, dtype=np.float64)
-    np.minimum.at(mins, group_id, values[nodes])
-    mins[n_subs] = -np.inf  # sentinel row for sublayer_of == -1
-    sublayer_of[nodes] = group_id
-    return sublayer_of, mins
+#: Rows per block of :func:`compute_block_extrema`.
+BLOCK_EXTREMA_SIZE = 8
 
 
 def compute_block_extrema(
     values: np.ndarray,
     rows: np.ndarray,
-    block_size: int = 2 * BOUND_BLOCK_SIZE,
+    block_size: int = BLOCK_EXTREMA_SIZE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-sided zonemap over an arbitrary candidate row set.
 
-    The one-sided trick behind :func:`compute_layer_bounds` (value-sum
-    sorting makes block neighbours value-coherent, so per-attribute block
-    minima stay tight) generalized to both sides: ``rows`` are sorted by
+    Sorting by value sum makes block neighbours value-coherent, so the
+    per-attribute block extrema stay tight: ``rows`` are sorted by
     ``(value sum, value lex, row id)`` and chunked into runs of
     ``block_size``; the result is ``(block_rows, mins, maxs)`` where
     ``block_rows[b]`` lists block ``b``'s members and ``mins[b]`` /
@@ -493,9 +362,8 @@ def compute_block_extrema(
     (:mod:`repro.analytics.reverse`) certify membership decisions that are
     bitwise consistent with the walk kernels.
 
-    Unlike the freeze-time tables this is placement-agnostic: analytics
-    targets need bounds over a per-(target, k) candidate set, not over the
-    whole structure.
+    The table is placement-agnostic: analytics targets need bounds over a
+    per-(target, k) candidate set, not over the whole structure.
     """
     values = np.asarray(values, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.intp)
@@ -559,8 +427,6 @@ class LayerStructure:
         fine_levels: np.ndarray,
         num_coarse_layers: int,
         complete: bool,
-        layer_bounds: tuple[np.ndarray, np.ndarray] | None = None,
-        sublayer_bounds: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.values = values
         self.n_real = n_real
@@ -576,13 +442,6 @@ class LayerStructure:
         self.fine_levels = fine_levels
         self.num_coarse_layers = num_coarse_layers
         self.complete = complete
-        # Layer bound table (see :func:`compute_layer_bounds`).  Frozen
-        # builds pass it eagerly; hand-built structures fall back to lazy
-        # computation in :meth:`layer_bound_table`.
-        self._layer_bounds = layer_bounds
-        # Sublayer-level bound table (see :func:`compute_sublayer_bounds`);
-        # eager at freeze, lazy for v1 snapshots and hand-built structures.
-        self._sublayer_bounds = sublayer_bounds
         # Lazy "no (parent, child) pair carries both edge kinds" flag (see
         # :meth:`edges_disjoint`); benign to race on.
         self._edges_disjoint: bool | None = None
@@ -681,53 +540,6 @@ class LayerStructure:
             cached = self.forall_parent_count.astype(dtype)
             cached[self.exists_gated] += self.n_nodes + 1
             self._gate_state = cached
-        return cached
-
-    def layer_bound_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(block_of, block_mins)`` — the dual-resolution bound table.
-
-        See :func:`compute_layer_bounds`.  ``block_mins[block_of[v]] @ w``
-        (with the kernel's own einsum contraction, so the rounding tree
-        matches score computation) is a bitwise-safe lower bound on node
-        ``v``'s score — the basis for the opt-in layer-bound skipping fast
-        path.  Computed at freeze time; hand-built structures build it
-        here on first use (benign-race caching, like the other derived
-        caches).
-        """
-        cached = self._layer_bounds
-        if cached is None:
-            cached = compute_layer_bounds(
-                self.values, self.coarse_levels, self.fine_levels
-            )
-            self._layer_bounds = cached
-        return cached
-
-    @property
-    def has_layer_bounds(self) -> bool:
-        """True when the bound tables were attached at freeze/open time.
-
-        Dispatch consults this before choosing a pruning-dependent plan:
-        a structure without eager bounds (a hand-assembled graph) *could*
-        prune via the lazy rebuild, but the O(n log n) first-use cost is
-        the opposite of what ``prune=True`` promises, so ``auto`` declines
-        instead.
-        """
-        return self._layer_bounds is not None
-
-    def sublayer_bound_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sublayer_of, sublayer_mins)`` — the coarse bound level.
-
-        See :func:`compute_sublayer_bounds`.  Computed at freeze time;
-        v1 snapshots and hand-built structures build it here on first use
-        (the table depends only on placements and values, so the lazy
-        result is identical to the freeze-time one).
-        """
-        cached = self._sublayer_bounds
-        if cached is None:
-            cached = compute_sublayer_bounds(
-                self.values, self.coarse_levels, self.fine_levels
-            )
-            self._sublayer_bounds = cached
         return cached
 
     def edges_disjoint(self) -> bool:

@@ -33,8 +33,7 @@ mapped file (a truncated ``data.bin`` raises instead of SIGBUS-ing on
 first touch), every per-node array has one entry per node, each CSR row
 pointer runs monotonically from 0 to its index array's length, every node
 id, seed and chain id is in range, no static seed repeats, the gate
-counts agree with the edges, every bound-table row id names a row of
-its table, and every value is finite.  The native walker
+counts agree with the edges, and every value is finite.  The native walker
 never bounds-checks a node id, so these checks are what keep a crafted
 snapshot from reading outside its arrays.  They do not detect an in-range
 value flipped to another in-range value; such a snapshot opens and may
@@ -58,15 +57,14 @@ from repro.relation import Relation, Schema
 #: Format marker stored in every snapshot manifest.
 SNAPSHOT_MAGIC = "repro-snapshot"
 #: Bumped on any layout change; readers reject newer majors.
-#: v1: structure arrays + block bound table.
-#: v2: adds the sublayer bound table (coarse level of the hierarchical
-#: two-level pruning check) — v1 snapshots still open; the sublayer
-#: table is recomputed lazily from the mapped arrays on first pruned
-#: query.
-SNAPSHOT_VERSION = 2
-#: Format versions this reader opens (older versions open with lazy
-#: fallbacks for the arrays they lack; newer versions are rejected).
-SNAPSHOT_COMPAT_VERSIONS = (1, 2)
+#: v1: structure arrays + a block bound table (``bound_block_*``).
+#: v2: adds a sublayer bound table (``bound_sublayer_*``).
+#: v3: structure arrays only.  No kernel reads the bound tables any
+#: more, so a v1/v2 file opens with its ``bound_*`` blobs ignored:
+#: never mapped, never read.
+SNAPSHOT_VERSION = 3
+#: Format versions this reader opens (newer versions are rejected).
+SNAPSHOT_COMPAT_VERSIONS = (1, 2, 3)
 #: Manifest filename inside the snapshot directory.
 MANIFEST_NAME = "MANIFEST.json"
 #: Data filename inside the snapshot directory (all arrays, one file).
@@ -87,13 +85,6 @@ _STRUCTURE_BLOBS = (
     "coarse_levels",
     "fine_levels",
 )
-#: Blobs holding the freeze-time layer bound table (block id per node,
-#: per-block per-attribute minima with the trailing -inf sentinel row).
-_BOUND_BLOBS = ("bound_block_of", "bound_block_mins")
-#: v2-only blobs holding the sublayer bound table (sublayer id per node,
-#: per-sublayer per-attribute minima with the trailing -inf sentinel
-#: row) — the coarse level of the hierarchical pruning check.
-_SUBLAYER_BLOBS = ("bound_sublayer_of", "bound_sublayer_mins")
 #: Blobs holding node or row ids, cast to ``np.intp`` at open.
 _ID_BLOBS = (
     "forall_indptr",
@@ -102,8 +93,6 @@ _ID_BLOBS = (
     "exists_indices",
     "static_seeds",
     "chain_ids",
-    "bound_block_of",
-    "bound_sublayer_of",
 )
 
 
@@ -113,9 +102,7 @@ class SnapshotIndex(TopKIndex):
     Behaves exactly like the index it was saved from — same
     :class:`~repro.core.structure.LayerStructure` arrays (byte-identical),
     same kernels, same bitwise answers — but its arrays are read-only views
-    into the page cache rather than private heap copies.  ``prune``-mode
-    queries work out of the box: the layer bound table is part of the
-    snapshot, so no O(n) recompute touches the mapped pages.
+    into the page cache rather than private heap copies.
     """
 
     name = "snapshot"
@@ -199,15 +186,9 @@ def save_snapshot(index: TopKIndex, path: str | Path) -> Path:
     if stale.exists():
         stale.unlink()  # invalidate any previous snapshot before rewriting
 
-    block_of, block_mins = structure.layer_bound_table()
-    sublayer_of, sublayer_mins = structure.sublayer_bound_table()
     blobs: dict[str, np.ndarray] = {
         name: np.asarray(getattr(structure, name)) for name in _STRUCTURE_BLOBS
     }
-    blobs["bound_block_of"] = np.asarray(block_of)
-    blobs["bound_block_mins"] = np.asarray(block_mins)
-    blobs["bound_sublayer_of"] = np.asarray(sublayer_of)
-    blobs["bound_sublayer_mins"] = np.asarray(sublayer_mins)
     blobs.update(selector_blobs)
 
     arrays = {}
@@ -333,9 +314,9 @@ def _check_arrays(root: Path, arrays: dict[str, np.ndarray], n_real: int) -> Non
     """Reject arrays that would send a kernel outside its buffers.
 
     ``arrays`` holds the carved blobs, id arrays already cast to
-    ``np.intp``.  The walkers index ``values``, the gate state and the
-    bound tables by the ids these arrays hold, without checking them, so
-    every id must name a row that exists, and every value must be finite.
+    ``np.intp``.  The walkers index ``values`` and the gate state by the
+    ids these arrays hold, without checking them, so every id must name a
+    row that exists, and every value must be finite.
     """
 
     def fail(name: str, problem: str) -> None:
@@ -349,7 +330,7 @@ def _check_arrays(root: Path, arrays: dict[str, np.ndarray], n_real: int) -> Non
     values = arrays["values"]
     if values.ndim != 2:
         fail("values", f"has shape {list(values.shape)}, not (nodes, d)")
-    n_nodes, d = values.shape
+    n_nodes = values.shape[0]
     if not 0 <= n_real <= n_nodes:
         fail("values", f"holds {n_nodes} nodes; n_real={n_real} is out of range")
     # A NaN compares false against every score, so the walkers would
@@ -357,8 +338,8 @@ def _check_arrays(root: Path, arrays: dict[str, np.ndarray], n_real: int) -> Non
     if not np.isfinite(values).all():
         fail("values", "holds a value that is not finite")
     per_node = ("forall_parent_count", "exists_gated", "coarse_levels", "fine_levels")
-    for name in per_node + ("bound_block_of", "bound_sublayer_of"):
-        if name in arrays and arrays[name].shape != (n_nodes,):
+    for name in per_node:
+        if arrays[name].shape != (n_nodes,):
             fail(name, f"has shape {list(arrays[name].shape)}, not [{n_nodes}]")
     if arrays["exists_gated"].dtype != np.bool_:
         fail("exists_gated", f"has dtype {arrays['exists_gated'].dtype}, not bool")
@@ -393,14 +374,6 @@ def _check_arrays(root: Path, arrays: dict[str, np.ndarray], n_real: int) -> Non
     gated = np.bincount(arrays["exists_indices"], minlength=n_nodes) > 0
     if not np.array_equal(gated, arrays["exists_gated"]):
         fail("exists_gated", "disagrees with exists_indices")
-    for of_name, mins_name in (_BOUND_BLOBS, _SUBLAYER_BLOBS):
-        if of_name not in arrays:
-            continue
-        mins = arrays[mins_name]
-        if mins.ndim != 2 or mins.shape[0] < 1 or mins.shape[1] != d:
-            fail(mins_name, f"has shape {list(mins.shape)}, not (rows >= 1, {d})")
-        # -1 marks an unplaced node: it maps to the trailing sentinel row.
-        check_range(of_name, -1, mins.shape[0])
 
 
 def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
@@ -412,7 +385,8 @@ def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
     them.  ``mmap=False`` reads the data file into private memory (useful
     when the snapshot will be replaced while open).  The structure is
     checked before it is returned (see the module docstring): ``values``,
-    the id arrays, gate counts and bound tables are each read once.
+    the id arrays and gate counts are each read once.  The ``bound_*``
+    blobs a v1 or v2 snapshot carries are ignored.
     """
     root = Path(path)
     manifest = read_manifest(root)
@@ -430,13 +404,7 @@ def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
         ) from exc
     buffer = _map_data(root, mmap=mmap)
 
-    names = _STRUCTURE_BLOBS + _BOUND_BLOBS
-    # v1 snapshots predate the sublayer table: open them with the blob
-    # absent and let the structure recompute it lazily (the table depends
-    # only on placements/values, so the lazy result is identical to a
-    # freeze-time one — v1 answers stay bitwise-identical).
-    if all(name in manifest["arrays"] for name in _SUBLAYER_BLOBS):
-        names += _SUBLAYER_BLOBS
+    names = _STRUCTURE_BLOBS
     if selector_type == "weight_range":
         names += ("chain_points", "chain_ids")
     elif selector_type != "static":
@@ -463,10 +431,6 @@ def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
         seed_selector = PartitionSeedSelector(partition)
     else:
         seed_selector = None
-    if "bound_sublayer_of" in arrays:
-        sublayer_bounds = (arrays["bound_sublayer_of"], arrays["bound_sublayer_mins"])
-    else:
-        sublayer_bounds = None
 
     values = arrays["values"]
     structure = LayerStructure(
@@ -475,8 +439,6 @@ def open_snapshot(path: str | Path, *, mmap: bool = True) -> SnapshotIndex:
         seed_selector=seed_selector,
         num_coarse_layers=num_coarse_layers,
         complete=complete,
-        layer_bounds=(arrays["bound_block_of"], arrays["bound_block_mins"]),
-        sublayer_bounds=sublayer_bounds,
     )
     if structure.n_nodes != n_nodes:
         raise SerializationError(

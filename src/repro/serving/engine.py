@@ -83,10 +83,12 @@ def validate_k(k) -> int:
     to ``k=2`` on the batched path, so a malformed request returned two
     results instead of failing.  Shared by the engine, the cluster
     coordinator, and the gateway so every serving entry point enforces the
-    same contract.  Strings and booleans are rejected even when ``float``
-    would coerce them — ``k="5"`` or ``k=True`` in a request is a caller
-    bug, not a retrieval size.
+    same contract.  Strings and booleans (python or numpy) are rejected
+    even when ``float`` would coerce them — ``k="5"`` or ``k=True`` in a
+    request is a caller bug, not a retrieval size.
     """
+    if isinstance(k, np.bool_):
+        k = bool(k)  # reported exactly like a python bool
     if isinstance(k, (str, bytes, bool)):
         raise InvalidQueryError(
             f"retrieval size k must be an integer, got {k!r}"
@@ -395,14 +397,6 @@ class QueryEngine(ServingLoop):
         when it is actually loadable, so a compiler-less host serves
         every query through the python kernels with one logged warning
         and no errors.
-    prune:
-        Enable layer-bound skipping in the CSR and batch kernels (see
-        :func:`~repro.core.query.process_top_k`): children whose bound-table
-        score bound already beats the running k-th score are dropped before
-        they are scored.  Answers stay bitwise identical; only the access
-        counts shrink.  When the dispatcher would pick the ``reference``
-        kernel (which has no pruning path), it is promoted to ``csr`` so
-        the skip actually runs.
     """
 
     def __init__(
@@ -413,7 +407,6 @@ class QueryEngine(ServingLoop):
         quantize_decimals: int = 12,
         latency_window: int = 4096,
         kernel: str = "auto",
-        prune: bool = False,
     ) -> None:
         if kernel not in VALID_KERNELS:
             raise InvalidQueryError(
@@ -426,7 +419,6 @@ class QueryEngine(ServingLoop):
         # anything else answers each row itself (see _compute).
         self._gated = isinstance(index, TopKIndex)
         self.kernel = kernel
-        self.prune = bool(prune)
         # Reusable (n_nodes, B) gate-state scratch for the batch kernel;
         # owned by the engine because the frozen structure is immutable by
         # contract and cannot cache mutable state.
@@ -496,8 +488,9 @@ class QueryEngine(ServingLoop):
     ) -> list[TopKResult]:
         """Run uncached queries (rows of ``lanes``) at one effective ``k``.
 
-        Resolves the kernel once for the group and attributes the group's
-        lanes to it on the call's metrics record.
+        Resolves the kernel once for the group and, once the kernel has
+        returned, attributes the group's lanes to it on the call's
+        metrics record.
         """
         width = lanes.shape[0]
         structure = getattr(self.index, "structure", None)
@@ -520,16 +513,11 @@ class QueryEngine(ServingLoop):
         # answers whichever kernel runs).
         kernel = self.kernel
         if kernel == "auto":
-            kernel = select_kernel(structure, batch_width=width, prune=self.prune)
+            kernel = select_kernel(structure, batch_width=width)
         elif kernel == "native" and not native_supported(structure):
             # Forced native on a shape outside the C walker's bitwise
             # contract (d > 7): the csr kernel serves it with the
             # engine's solo workspace.
-            kernel = "csr"
-        if kernel == "reference" and self.prune and structure.has_layer_bounds:
-            # The reference kernel has no pruning path; the CSR kernel is
-            # bitwise identical, so promote when the frozen bound table
-            # makes pruning worthwhile.
             kernel = "csr"
         if kernel == "native":
             # Compiled walker, built on first demand: get_jit_kernel()
@@ -538,27 +526,18 @@ class QueryEngine(ServingLoop):
             # when the kernel is loadable).  Every group, one row or many,
             # crosses into it once.
             get_jit_kernel()
-            record.record_kernel("native", width)
-            return [
+            results = [
                 TopKResult(ids, scores, AccessCounter(real, pseudo))
                 for ids, scores, real, pseudo in native_walk_lanes(
-                    structure,
-                    lanes,
-                    k,
-                    prune=self.prune,
-                    workspace=self._native_workspace,
+                    structure, lanes, k, workspace=self._native_workspace
                 )
             ]
-        record.record_kernel(kernel, width)
+            record.record_kernel("native", width)
+            return results
         counters = [AccessCounter() for _ in range(width)]
         if kernel == "batch":
             outputs = process_top_k_batch(
-                structure,
-                lanes,
-                k,
-                counters,
-                workspace=self._workspace,
-                prune=self.prune,
+                structure, lanes, k, counters, workspace=self._workspace
             )
         elif kernel == "reference":
             outputs = [
@@ -568,15 +547,11 @@ class QueryEngine(ServingLoop):
         else:
             outputs = [
                 process_top_k(
-                    structure,
-                    w,
-                    k,
-                    counter,
-                    prune=self.prune,
-                    workspace=self._solo_workspace,
+                    structure, w, k, counter, workspace=self._solo_workspace
                 )
                 for w, counter in zip(lanes, counters)
             ]
+        record.record_kernel(kernel, width)
         return [
             TopKResult(ids=ids, scores=scores, counter=counter)
             for (ids, scores), counter in zip(outputs, counters)

@@ -70,10 +70,11 @@ class QueryRecord:
     def record_kernel(self, name: str, count: int) -> None:
         """Attribute ``count`` computed rows of this call to kernel ``name``.
 
-        Called by the engine once per dispatched k-group with the group's
-        lane count (never for cache hits).  The counts reach the
-        registry's ``kernel_<name>`` counters when the record exits, also
-        when the call raises: a group counts once it is dispatched.
+        Called by the engine once per k-group its kernel computed, with
+        the group's lane count (never for cache hits, and not for a group
+        whose kernel raised).  The counts reach the registry's
+        ``kernel_<name>`` counters when the record exits, also when a
+        later group of the same call raises.
         """
         if count <= 0:
             return
@@ -347,43 +348,15 @@ class MetricsRegistry:
         return self.queries / elapsed if elapsed > 0 else 0.0
 
     def as_dict(self) -> dict[str, float]:
-        """Flat snapshot of every gauge and summary statistic."""
-        with self._lock:
-            latency = self._latency.summary(scale=1e3)
-            amortized = self._batch_amortized.summary(scale=1e3)
-            snapshot = {
-                "queries": float(self.queries),
-                "batched_queries": float(self.batched_queries),
-                "cache_hits": float(self.cache_hits),
-                "cache_misses": float(self.cache_misses),
-                "hit_rate": self.hit_rate,
-                "total_cost": float(self.total_cost),
-                "mean_cost": self.mean_cost,
-                "max_cost": float(self.max_cost),
-                "latency_ms_mean": latency["mean"],
-                "latency_ms_p50": latency["p50"],
-                "latency_ms_p95": latency["p95"],
-                "latency_ms_p99": latency["p99"],
-                "latency_ms_max": latency["max"],
-                "queue_depth": float(self.queue_depth),
-                "max_queue_depth": float(self.max_queue_depth),
-                "slo_violations": float(self.slo_violations),
-                "batches": float(self.batches),
-                "batch_rows": float(self.batch_rows),
-                "batch_size_mean": (
-                    self.batch_rows / self.batches if self.batches else 0.0
-                ),
-                "batch_size_max": float(self.max_batch_size),
-                "batch_amortized_ms_p50": amortized["p50"],
-                "batch_amortized_ms_p95": amortized["p95"],
-            }
-            for bucket in sorted(self.batch_size_hist):
-                snapshot[f"batch_size_hist_{bucket}"] = float(
-                    self.batch_size_hist[bucket]
-                )
-            for name in sorted(self.kernel_counts):
-                snapshot[f"kernel_{name}"] = float(self.kernel_counts[name])
-            return snapshot
+        """Flat snapshot of every gauge and summary statistic.
+
+        The one-registry case of :meth:`aggregate`, without
+        ``throughput_qps`` (the engines' ``stats()`` add their own), so
+        the schema is spelled out once.
+        """
+        snapshot = MetricsRegistry.aggregate([self])
+        del snapshot["throughput_qps"]
+        return snapshot
 
     def reset(self) -> None:
         """Zero every counter and restart the clock (for benchmark phases)."""

@@ -115,6 +115,11 @@ def test_non_integral_k_rejected_cluster_wide():
         cluster.query_batch(np.vstack([w, w]), 2.5)
     with pytest.raises(InvalidQueryError):
         cluster.query_many([(w, 5), (w, 2.5)])
+    # Booleans, python or numpy, are not retrieval sizes.
+    with pytest.raises(InvalidQueryError, match="must be an integer"):
+        cluster.query(w, np.True_)
+    with pytest.raises(InvalidQueryError, match="must be an integer"):
+        cluster.query_batch(np.vstack([w, w]), np.array([True, True]))
     # Integral floats stay accepted and serve the same bytes.
     a = cluster.query(w, np.float64(5.0))
     b = cluster.query(w, 5)

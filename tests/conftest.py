@@ -60,3 +60,13 @@ def broken_native_build(isolated_native_state, monkeypatch):
 def names_of(ids) -> set[str]:
     """Toy-hotel names for a collection of ids (test helper)."""
     return {HOTEL_NAMES[int(i)] for i in ids}
+
+
+def served_kernels() -> list[str]:
+    """Every ``QueryEngine`` kernel that can serve on this host (test helper)."""
+    kernels = ["reference", "csr", "batch"]
+    try:
+        from repro.core.native import native_ready
+    except ImportError:
+        return kernels
+    return kernels + (["native"] if native_ready() else [])

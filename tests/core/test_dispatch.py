@@ -78,6 +78,8 @@ def test_structure_argument_supplies_shape(no_native):
     assert select_kernel(structure) == select_kernel(
         n_nodes=structure.n_nodes, d=structure.values.shape[1]
     )
+    small = DLIndex(generate("IND", 200, 2, seed=4)).build().structure
+    assert select_kernel(small) == "reference"
 
 
 def test_missing_shape_rejected():
@@ -96,38 +98,8 @@ def test_valid_kernels_registry(no_native):
     for n in (100, AUTO_SMALL_STRUCTURE_NODES + 1):
         for d in (2, 4):
             for width in (1, AUTO_BATCH_MIN_LANES):
-                for prune in (False, True):
-                    for has_bounds in (False, True):
-                        picked = select_kernel(
-                            n_nodes=n,
-                            d=d,
-                            batch_width=width,
-                            prune=prune,
-                            has_bounds=has_bounds,
-                        )
-                        assert picked in {"reference", "csr", "batch"}
-
-
-def test_prune_steers_small_structures_to_csr_only_with_bounds(no_native):
-    """prune=True flips the small/low-d cell to csr — but only when the
-    structure actually carries a bound table; without bounds the caller
-    runs unpruned and the reference kernel keeps its win."""
-    kw = dict(n_nodes=AUTO_SMALL_STRUCTURE_NODES, d=2)
-    assert select_kernel(**kw) == "reference"
-    assert select_kernel(prune=True, has_bounds=True, **kw) == "csr"
-    assert select_kernel(prune=True, has_bounds=False, **kw) == "reference"
-    assert select_kernel(prune=False, has_bounds=True, **kw) == "reference"
-
-
-def test_structure_supplies_has_bounds(no_native):
-    """A built structure's own has_layer_bounds feeds the prune decision;
-    an explicit has_bounds= overrides it."""
-    relation = generate("IND", 200, 2, seed=4)
-    structure = DLIndex(relation).build().structure
-    assert structure.has_layer_bounds
-    assert select_kernel(structure) == "reference"
-    assert select_kernel(structure, prune=True) == "csr"
-    assert select_kernel(structure, prune=True, has_bounds=False) == "reference"
+                picked = select_kernel(n_nodes=n, d=d, batch_width=width)
+                assert picked in {"reference", "csr", "batch"}
 
 
 def test_native_wins_every_solo_cell_when_available(native_available):
@@ -136,9 +108,7 @@ def test_native_wins_every_solo_cell_when_available(native_available):
     the python reference/csr thresholds."""
     for n in (100, AUTO_SMALL_STRUCTURE_NODES, 10**6):
         for d in (2, 4, NATIVE_DISPATCH_MAX_DIM):
-            for prune in (False, True):
-                assert select_kernel(n_nodes=n, d=d, prune=prune,
-                                     has_bounds=True) == "native"
+            assert select_kernel(n_nodes=n, d=d) == "native"
 
 
 def test_native_first_at_every_batch_width(native_available):

@@ -3,11 +3,11 @@
 Three concerns, matching the kernel's contract:
 
 * **Bitwise identity** — across correlation families, dimensionalities,
-  DL/DL+ structures, and prune on/off, the C walk must return the same
-  answer *bytes* and the same Definition-9 real/pseudo counts as the
-  python kernels (which are themselves pinned to the per-node reference
-  oracle), both one query at a time and for a whole group of lanes in
-  one ``repro_walk_many`` crossing.
+  DL/DL+ structures, and shared or private buffers, the C walk must
+  return the same answer *bytes* and the same Definition-9 real/pseudo
+  counts as the python kernels (which are themselves pinned to the
+  per-node reference oracle), both one query at a time and for a whole
+  group of lanes in one ``repro_walk_many`` crossing.
 * **Fallback ladder** — on a host without a compiler (or with a broken
   build), ``kernel="auto"`` must silently serve via the python kernels
   with exactly one logged warning, while an explicit ``kernel="native"``
@@ -61,44 +61,37 @@ def _weights(d: int, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("family", ["IND", "ANT", "COR"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("index_cls", [DLIndex, DLPlusIndex])
-@pytest.mark.parametrize("prune", [False, True])
-def test_bitwise_identity_grid(family, d, index_cls, prune):
+@pytest.mark.parametrize("shared_workspace", [False, True])
+def test_bitwise_identity_grid(family, d, index_cls, shared_workspace):
     """ids bytes, score bytes, and real/pseudo counts match the python
-    CSR kernel exactly — and the unpruned cells also match the per-node
-    reference oracle — across the full family x d x index x prune grid."""
+    CSR kernel and the per-node reference oracle exactly, across the
+    full family x d x index grid, on private buffers and on one
+    workspace reused by every query."""
     relation = generate(family, 500, d, seed=7 + d)
     structure = index_cls(relation).build().structure
-    ws = NativeWorkspace()
+    ws = NativeWorkspace() if shared_workspace else None
     for qi, k in enumerate((1, 5, 23)):
         w = _weights(d, 100 * d + qi)
-        py_counter = AccessCounter()
-        py_ids, py_scores = process_top_k(
-            structure, w, k, py_counter, prune=prune
-        )
         nat_counter = AccessCounter()
         nat_ids, nat_scores = native_process_top_k(
-            structure, w, k, nat_counter, prune=prune, workspace=ws
+            structure, w, k, nat_counter, workspace=ws
         )
-        assert nat_ids.tobytes() == py_ids.tobytes()
-        assert nat_scores.tobytes() == py_scores.tobytes()
-        assert nat_counter.real == py_counter.real
-        assert nat_counter.pseudo == py_counter.pseudo
-        if not prune:
-            ref_counter = AccessCounter()
-            ref_ids, ref_scores = process_top_k_reference(
-                structure, w, k, ref_counter
-            )
-            assert nat_ids.tobytes() == ref_ids.tobytes()
-            assert nat_scores.tobytes() == ref_scores.tobytes()
-            assert nat_counter.real == ref_counter.real
-            assert nat_counter.pseudo == ref_counter.pseudo
+        for kernel in (process_top_k, process_top_k_reference):
+            py_counter = AccessCounter()
+            py_ids, py_scores = kernel(structure, w, k, py_counter)
+            assert nat_ids.tobytes() == py_ids.tobytes()
+            assert nat_scores.tobytes() == py_scores.tobytes()
+            assert nat_counter.real == py_counter.real
+            assert nat_counter.pseudo == py_counter.pseudo
+    if shared_workspace:
+        assert ws.checkouts == 3
 
 
 _STRUCTURES: dict = {}
 
 
 def _structure(family: str, d: int, index_cls):
-    """Built structures shared across the many-lane grid's prune cells."""
+    """Built structures shared across the many-lane grid's workspace cells."""
     key = (family, d, index_cls)
     if key not in _STRUCTURES:
         relation = generate(family, 200, d, seed=60 + d)
@@ -106,15 +99,11 @@ def _structure(family: str, d: int, index_cls):
     return _STRUCTURES[key]
 
 
-def assert_many_lanes_match(structure, weights, ks, prune, workspace=None):
-    """One ``native_walk_lanes`` call vs per-lane python walks: byte-equal
-    ids and scores against the per-node reference oracle, and exact
-    real/pseudo counts against the reference (unpruned) or the pruned
-    csr kernel (the reference has no pruning path)."""
+def assert_many_lanes_match(structure, weights, ks, workspace=None):
+    """One ``native_walk_lanes`` call vs per-lane reference walks:
+    byte-equal ids and scores, and exact real/pseudo counts."""
     weights = np.asarray(weights, dtype=np.float64)
-    lanes = native_walk_lanes(
-        structure, weights, ks, prune=prune, workspace=workspace
-    )
+    lanes = native_walk_lanes(structure, weights, ks, workspace=workspace)
     ks = np.broadcast_to(np.asarray(ks), (weights.shape[0],))
     assert len(lanes) == weights.shape[0]
     for lane, (w, k) in enumerate(zip(weights, ks.tolist())):
@@ -123,9 +112,6 @@ def assert_many_lanes_match(structure, weights, ks, prune, workspace=None):
         ref_ids, ref_scores = process_top_k_reference(structure, w, k, ref_counter)
         assert ids.tobytes() == ref_ids.tobytes(), f"lane {lane} ids"
         assert scores.tobytes() == ref_scores.tobytes(), f"lane {lane}"
-        if prune:
-            ref_counter = AccessCounter()
-            process_top_k(structure, w, k, ref_counter, prune=True)
         assert (real, pseudo) == (ref_counter.real, ref_counter.pseudo), (
             f"lane {lane} Definition-9 counts"
         )
@@ -135,13 +121,13 @@ def assert_many_lanes_match(structure, weights, ks, prune, workspace=None):
 @pytest.mark.parametrize("family", ["IND", "ANT", "COR"])
 @pytest.mark.parametrize("d", range(1, NATIVE_MAX_DIM + 1))
 @pytest.mark.parametrize("index_cls", [DLIndex, DLPlusIndex], ids=["DL", "DL+"])
-@pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
-def test_walk_many_bitwise_grid(family, d, index_cls, prune):
-    """``repro_walk_many`` over IND/ANT/COR x d=1..7 x DL/DL+ x prune:
-    every lane of one crossing equals its own reference walk (DL+ at d=2
-    walks from per-lane weight-range selector seeds).  The lanes mix k
-    (k >= n included), repeat a row, and reuse one workspace across
-    calls."""
+@pytest.mark.parametrize("shared", [False, True], ids=["plain", "shared"])
+def test_walk_many_bitwise_grid(family, d, index_cls, shared):
+    """``repro_walk_many`` over IND/ANT/COR x d=1..7 x DL/DL+: every lane
+    of one crossing equals its own reference walk (DL+ at d=2 walks from
+    per-lane weight-range selector seeds).  The lanes mix k (k >= n
+    included) and repeat a row; "plain" walks on private buffers,
+    "shared" reuses one workspace across calls."""
     structure = _structure(family, d, index_cls)
     if d == 2 and index_cls is DLPlusIndex:
         assert structure.seed_selector is not None
@@ -149,15 +135,16 @@ def test_walk_many_bitwise_grid(family, d, index_cls, prune):
     weights = rng.dirichlet(np.ones(d), size=8)
     weights[5] = weights[1]  # duplicate lane
     ks = [1, 5, 23, structure.n_real + 7, 5, 1, 64, structure.n_real]
-    workspace = NativeWorkspace()
+    workspace = NativeWorkspace() if shared else None
     for _ in range(2):
-        assert_many_lanes_match(structure, weights, ks, prune, workspace)
-    assert workspace.checkouts == 2  # one checkout per crossing
+        assert_many_lanes_match(structure, weights, ks, workspace)
+    if shared:
+        assert workspace.checkouts == 2  # one checkout per crossing
 
 
 @requires_native
-@pytest.mark.parametrize("prune", [False, True], ids=["plain", "prune"])
-def test_walk_many_tied_duplicate_tuples(prune):
+@pytest.mark.parametrize("shared", [False, True], ids=["plain", "shared"])
+def test_walk_many_tied_duplicate_tuples(shared):
     """Exact duplicate tuples score identically: every lane must break the
     (score, id) ties exactly as its reference walk does."""
     rng = np.random.default_rng(77)
@@ -167,7 +154,8 @@ def test_walk_many_tied_duplicate_tuples(prune):
         structure = index_cls(relation).build().structure
         weights = rng.dirichlet(np.ones(3), size=6)
         weights[4] = weights[0]
-        assert_many_lanes_match(structure, weights, 40, prune)
+        workspace = NativeWorkspace() if shared else None
+        assert_many_lanes_match(structure, weights, 40, workspace)
 
 
 @requires_native
@@ -177,7 +165,7 @@ def test_walk_many_widths(n_lanes):
     engine sees) walk bitwise like their reference walks."""
     structure = _structure("ANT", 3, DLPlusIndex)
     weights = np.random.default_rng(n_lanes).dirichlet(np.ones(3), size=n_lanes)
-    assert_many_lanes_match(structure, weights, 9, prune=False)
+    assert_many_lanes_match(structure, weights, 9)
 
 
 @requires_native

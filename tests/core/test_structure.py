@@ -159,72 +159,3 @@ def test_gate_state_template_encoding_and_cache():
     np.testing.assert_array_equal(state.astype(np.int64), expected)
     # Cached: same object on repeat calls.
     assert structure.gate_state_template() is state
-
-
-def test_sublayer_bound_table_properties():
-    """Hierarchical bound soundness: every node's sublayer minima are <=
-    its own values AND <= its block minima per attribute (the sublayer is
-    the coarse side of the two-level check); unplaced nodes carry the -1
-    id mapping to the -inf sentinel row, so they can never be skipped."""
-    from repro.core import DLPlusIndex
-    from repro.data import generate
-
-    relation = generate("ANT", 500, 3, seed=41)
-    structure = DLPlusIndex(relation).build().structure
-    values = np.asarray(structure.values)
-    block_of, block_mins = structure.layer_bound_table()
-    sub_of, sub_mins = structure.sublayer_bound_table()
-
-    assert sub_mins.shape[1] == values.shape[1]
-    np.testing.assert_array_equal(sub_mins[-1], -np.inf)  # sentinel row
-
-    placed = np.asarray(structure.coarse_levels) >= 0
-    assert np.all(np.asarray(sub_of)[placed] >= 0)
-    assert np.all(np.asarray(sub_of)[~placed] == -1)
-    # Far coarser than the block table: that is the whole point.
-    assert sub_mins.shape[0] < block_mins.shape[0]
-
-    nodes = np.nonzero(placed)[0]
-    assert np.all(sub_mins[np.asarray(sub_of)[nodes]] <= values[nodes])
-    # Coarse <= fine: a sublayer bound can only be weaker than the block
-    # bound it summarizes, which is what makes the cached sublayer verdict
-    # imply every inner block's verdict.
-    assert np.all(
-        sub_mins[np.asarray(sub_of)[nodes]] <= block_mins[np.asarray(block_of)[nodes]]
-    )
-
-
-def test_sublayer_table_lazy_matches_freeze_time():
-    """A structure stripped of its frozen sublayer table (the v1 snapshot
-    shape) recomputes it lazily with byte-identical bounds."""
-    from repro.core import DLIndex
-    from repro.core.structure import compute_sublayer_bounds
-    from repro.data import generate
-
-    relation = generate("COR", 400, 4, seed=43)
-    structure = DLIndex(relation).build().structure
-    frozen_of, frozen_mins = structure.sublayer_bound_table()
-    recomputed_of, recomputed_mins = compute_sublayer_bounds(
-        np.asarray(structure.values),
-        np.asarray(structure.coarse_levels),
-        np.asarray(structure.fine_levels),
-    )
-    np.testing.assert_array_equal(np.asarray(frozen_of), recomputed_of)
-    assert np.asarray(frozen_mins).tobytes() == recomputed_mins.tobytes()
-    # And via the lazy path itself:
-    structure._sublayer_bounds = None
-    lazy_of, lazy_mins = structure.sublayer_bound_table()
-    np.testing.assert_array_equal(np.asarray(lazy_of), recomputed_of)
-    assert np.asarray(lazy_mins).tobytes() == recomputed_mins.tobytes()
-
-
-def test_has_layer_bounds_flag():
-    """Structures frozen by the builder carry bounds; stripping them (a
-    hand-built structure) flips the flag the dispatcher keys on."""
-    from repro.core import DLPlusIndex
-    from repro.data import generate
-
-    structure = DLPlusIndex(generate("IND", 200, 2, seed=45)).build().structure
-    assert structure.has_layer_bounds
-    structure._layer_bounds = None
-    assert not structure.has_layer_bounds

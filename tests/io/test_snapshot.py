@@ -15,8 +15,15 @@ from repro.core.query import process_top_k, process_top_k_reference
 from repro.data import generate, toy_hotels
 from repro.exceptions import SerializationError
 from repro.io import open_snapshot, save_snapshot, snapshot_nbytes
-from repro.io.snapshot import DATA_NAME, MANIFEST_NAME, SnapshotIndex, read_manifest
+from repro.io.snapshot import (
+    _STRUCTURE_BLOBS,
+    DATA_NAME,
+    MANIFEST_NAME,
+    SnapshotIndex,
+    read_manifest,
+)
 from repro.stats import AccessCounter
+from tests.conftest import served_kernels
 
 
 def assert_same_answers(structure_a, structure_b, d, *, queries=8, seed=0):
@@ -26,13 +33,8 @@ def assert_same_answers(structure_a, structure_b, d, *, queries=8, seed=0):
         k = int(rng.integers(1, 21))
         ids_a, scores_a = process_top_k_reference(structure_a, w, k, AccessCounter())
         ids_b, scores_b = process_top_k(structure_b, w, k, AccessCounter())
-        ids_p, scores_p = process_top_k(
-            structure_b, w, k, AccessCounter(), prune=True
-        )
         assert np.array_equal(ids_a, ids_b)
         assert scores_a.tobytes() == scores_b.tobytes()
-        assert np.array_equal(ids_a, ids_p)
-        assert scores_a.tobytes() == scores_p.tobytes()
 
 
 @pytest.mark.parametrize("index_class", [DLIndex, DLPlusIndex], ids=["DL", "DL+"])
@@ -258,8 +260,6 @@ def _id_range(manifest, name):
         return 0, arrays[name.replace("indptr", "indices")]["shape"][0] + 1
     if name == "chain_ids":
         return 0, manifest["n_real"]
-    if name.startswith("bound_"):
-        return -1, arrays[name.replace("_of", "_mins")]["shape"][0]
     return 0, manifest["n_nodes"]
 
 
@@ -285,8 +285,6 @@ _ID_BLOB_NAMES = (
     "exists_indices",
     "static_seeds",
     "chain_ids",
-    "bound_block_of",
-    "bound_sublayer_of",
 )
 
 
@@ -356,25 +354,16 @@ def test_open_rejects_short_per_node_array(snapshot_dir, tmp_path):
     root = _copy(snapshot_dir, tmp_path, "c")
 
     def shorten(manifest):
-        entry = manifest["arrays"]["bound_block_of"]
+        entry = manifest["arrays"]["coarse_levels"]
         entry["shape"] = [entry["shape"][0] - 1]
         entry["nbytes"] -= np.dtype(entry["dtype"]).itemsize
 
     _edit_manifest(root, shorten)
-    with pytest.raises(SerializationError, match="bound_block_of"):
+    with pytest.raises(SerializationError, match="coarse_levels"):
         open_snapshot(root)
 
 
-def _kernels_here():
-    kernels = ["reference", "csr", "batch"]
-    try:
-        from repro.core.native import native_ready
-    except ImportError:
-        return kernels
-    return kernels + (["native"] if native_ready() else [])
-
-
-@pytest.mark.parametrize("kernel", _kernels_here())
+@pytest.mark.parametrize("kernel", served_kernels())
 def test_open_rejects_a_nan_value_every_kernel_would_drop(kernel, tmp_path):
     """A NaN in a value row used to open cleanly; every kernel then left
     its tuple out of the answer ([121, 50, 275] here) with no error."""
@@ -460,7 +449,7 @@ cells = []
 for _ in range(int(sys.argv[3])):
     w = rng.dirichlet(np.ones(d))
     k = int(rng.integers(1, 21))
-    ids, scores = process_top_k(snap.structure, w, k, AccessCounter(), prune=True)
+    ids, scores = process_top_k(snap.structure, w, k, AccessCounter())
     cells.append({
         "ids": [int(i) for i in ids],
         "score_hex": scores.tobytes().hex(),
@@ -500,68 +489,93 @@ def test_second_process_answers_bitwise(tmp_path):
         assert cell["scores_dtype"] == np.dtype(np.float64).str
 
 
-def test_manifest_carries_v2_and_sublayer_blobs(snapshot_dir):
-    """Fresh snapshots are format v2: versioned manifest plus the
-    hierarchical sublayer bound blobs next to the block bound blobs."""
+def test_fresh_snapshot_is_v3_without_bound_blobs(snapshot_dir):
+    """Fresh snapshots are format v3: the structure arrays only."""
     from repro.io.snapshot import SNAPSHOT_VERSION
 
     manifest = read_manifest(snapshot_dir)
-    assert manifest["version"] == SNAPSHOT_VERSION == 2
-    for name in (
-        "bound_block_of",
-        "bound_block_mins",
-        "bound_sublayer_of",
-        "bound_sublayer_mins",
-    ):
-        assert name in manifest["arrays"], name
+    assert manifest["version"] == SNAPSHOT_VERSION == 3
+    assert not [name for name in manifest["arrays"] if name.startswith("bound_")]
 
 
-def test_v2_snapshot_sublayer_table_is_mapped_not_recomputed(snapshot_dir):
-    """Opening a v2 snapshot hydrates the sublayer table from the mapped
-    blobs — identical to a freeze-time computation on the same arrays."""
-    from repro.core.structure import compute_sublayer_bounds
+# --------------------------------------------------------------------- #
+# Older formats: committed v1 and v2 snapshots of one tiny DL+ index
+# (IND d=3 n=60, seed 29, max_layers=4), written by the v2 writer; the
+# v1 copy is its manifest downgraded to version 1 without the sublayer
+# entries.  Both carry bound_* blobs, which the reader ignores.
+# --------------------------------------------------------------------- #
 
-    snap = open_snapshot(snapshot_dir)
-    structure = snap.structure
-    assert structure._sublayer_bounds is not None
-    sub_of, sub_mins = structure.sublayer_bound_table()
-    expect_of, expect_mins = compute_sublayer_bounds(
-        np.asarray(structure.values),
-        np.asarray(structure.coarse_levels),
-        np.asarray(structure.fine_levels),
-    )
-    np.testing.assert_array_equal(np.asarray(sub_of), expect_of)
-    assert np.asarray(sub_mins).tobytes() == expect_mins.tobytes()
+_FIXTURES = Path(__file__).with_name("fixtures")
 
 
-def test_v1_snapshot_opens_bitwise_identically(snapshot_dir, tmp_path):
-    """A v1-era snapshot (no sublayer blobs, version 1 manifest) still
-    opens cleanly; answers — pruned and unpruned — stay bitwise identical
-    to a v2 open of the same index, with the sublayer table recomputed
-    lazily from the mapped arrays."""
-    v1_root = _copy(snapshot_dir, tmp_path, "v1")
+def _fixture_index():
+    return DLPlusIndex(generate("IND", 60, 3, seed=29), max_layers=4).build()
 
-    def downgrade(manifest):
-        manifest["version"] = 1
-        for name in ("bound_sublayer_of", "bound_sublayer_mins"):
-            del manifest["arrays"][name]
 
-    _edit_manifest(v1_root, downgrade)
-    v1 = open_snapshot(v1_root)
-    v2 = open_snapshot(snapshot_dir)
-    assert v1.structure._sublayer_bounds is None  # lazy for v1
-    rng = np.random.default_rng(77)
-    for _ in range(10):
-        w = rng.dirichlet(np.ones(3))
-        k = int(rng.integers(1, 64))
-        for prune in (False, True):
-            c1, c2 = AccessCounter(), AccessCounter()
-            ids_1, scores_1 = process_top_k(
-                v1.structure, w, k, c1, prune=prune
-            )
-            ids_2, scores_2 = process_top_k(
-                v2.structure, w, k, c2, prune=prune
-            )
-            assert np.array_equal(ids_1, ids_2)
-            assert scores_1.tobytes() == scores_2.tobytes()
-            assert (c1.real, c1.pseudo) == (c2.real, c2.pseudo)
+def _assert_old_snapshot_answers_bitwise(root):
+    from repro.serving import QueryEngine
+
+    snap = open_snapshot(root)
+    assert not [name for name in vars(snap.structure) if "bound" in name]
+    index = _fixture_index()
+    for name in _STRUCTURE_BLOBS:
+        fresh = np.asarray(getattr(index.structure, name))
+        assert np.asarray(getattr(snap.structure, name)).tobytes() == fresh.tobytes()
+    rng = np.random.default_rng(5)
+    weights = rng.dirichlet(np.ones(3), size=12)
+    ks = rng.integers(1, 5, size=12)
+    for kernel in served_kernels():
+        old = QueryEngine(snap, cache_size=0, kernel=kernel)
+        new = QueryEngine(index, cache_size=0, kernel=kernel)
+        batch = old.query_batch(weights, ks)
+        for row, (w, k) in enumerate(zip(weights, ks.tolist())):
+            a, b = old.query(w, k), new.query(w, k)
+            assert a.ids.tobytes() == b.ids.tobytes(), (kernel, row)
+            assert a.scores.tobytes() == b.scores.tobytes(), (kernel, row)
+            assert a.cost == b.cost, (kernel, row)
+            assert batch[row].ids.tobytes() == b.ids.tobytes(), (kernel, row)
+            assert batch[row].scores.tobytes() == b.scores.tobytes()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_committed_old_snapshots_carry_bound_blobs(version):
+    manifest = read_manifest(_FIXTURES / f"snapshot_v{version}")
+    assert manifest["version"] == version
+    bound = sorted(name for name in manifest["arrays"] if name.startswith("bound_"))
+    expected = ["bound_block_mins", "bound_block_of"]
+    if version == 2:
+        expected += ["bound_sublayer_mins", "bound_sublayer_of"]
+    assert bound == sorted(expected)
+
+
+def test_v1_snapshot_opens_bitwise_identically():
+    """The committed v1 snapshot opens and answers bitwise like a fresh
+    build under every kernel, scalar and batched."""
+    _assert_old_snapshot_answers_bitwise(_FIXTURES / "snapshot_v1")
+
+
+def test_v2_snapshot_opens_bitwise_identically():
+    """The committed v2 snapshot opens and answers bitwise like a fresh
+    build under every kernel, scalar and batched."""
+    _assert_old_snapshot_answers_bitwise(_FIXTURES / "snapshot_v2")
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_corrupt_bound_blobs_of_old_snapshots_are_ignored(version, tmp_path):
+    """No kernel reads a v1/v2 snapshot's bound tables any more, so the
+    reader never maps them: ids far out of range, NaN minima and even a
+    bound entry pointing past the end of data.bin change nothing."""
+    root = tmp_path / "old"
+    shutil.copytree(_FIXTURES / f"snapshot_v{version}", root)
+    manifest = read_manifest(root)
+    for name in manifest["arrays"]:
+        if name.endswith("_of"):
+            _poke(root, name, 0, 10_000_000)
+        elif name.startswith("bound_"):
+            _poke(root, name, 0, np.nan)
+
+    def push_past_end(manifest):
+        manifest["arrays"]["bound_block_mins"]["offset"] = 1 << 40
+
+    _edit_manifest(root, push_past_end)
+    _assert_old_snapshot_answers_bitwise(root)

@@ -9,10 +9,10 @@ from repro.core.maintenance import DynamicDualLayerIndex
 from repro.core.query import process_top_k, process_top_k_reference
 from repro.data import generate
 from repro.exceptions import InvalidQueryError, InvalidWeightError
-from repro.io import open_snapshot, save_snapshot
-from repro.relation import normalize_weights, random_weight_vector, top_k_bruteforce
+from repro.relation import normalize_weights, top_k_bruteforce
 from repro.serving import QueryEngine
 from repro.stats import AccessCounter
+from tests.conftest import served_kernels
 
 
 def random_weights(rng, d: int, count: int) -> np.ndarray:
@@ -293,6 +293,47 @@ def test_non_integral_k_rejected_everywhere():
         assert x.ids.tobytes() == y.ids.tobytes()
 
 
+def test_boolean_k_rejected_everywhere():
+    """A numpy boolean used to pass as k=1: ``query_batch(W,
+    np.array([True, True]))`` served two top-1 answers.  Python and numpy
+    booleans alike raise the same error, scalar or per row."""
+    relation = generate("IND", 200, 3, seed=48)
+    engine = QueryEngine(DLPlusIndex(relation).build(), cache_size=0)
+    weights = random_weights(np.random.default_rng(48), 3, 2)
+    for flag in (True, np.True_, np.False_):
+        with pytest.raises(InvalidQueryError, match="must be an integer"):
+            engine.query(weights[0], flag)
+        with pytest.raises(InvalidQueryError, match="must be an integer"):
+            engine.query_batch(weights, flag)
+    with pytest.raises(InvalidQueryError, match="got True$"):
+        engine.query_batch(weights, np.array([True, True]))
+    with pytest.raises(InvalidQueryError, match="got True$"):
+        engine.query(weights[0], np.True_)
+    assert engine.metrics.queries == 0
+
+
+@pytest.mark.parametrize("kernel", served_kernels())
+def test_kernel_counter_skips_a_row_that_raised(kernel):
+    """``kernel_<name>`` counts computed rows: a query past an
+    incomplete index's capacity (k > max_layers) raises and leaves every
+    kernel counter at 0, while ``queries`` and ``cache_misses`` still
+    count the failed call."""
+    from repro.exceptions import IndexCapacityError
+
+    relation = generate("IND", 300, 3, seed=49)
+    index = DLPlusIndex(relation, max_layers=4).build()
+    engine = QueryEngine(index, cache_size=0, kernel=kernel)
+    with pytest.raises(IndexCapacityError):
+        engine.query(np.array([0.3, 0.3, 0.4]), 5)
+    stats = engine.stats()
+    for name in ("native", "csr", "reference", "batch"):
+        assert stats.get(f"kernel_{name}", 0.0) == 0.0, name
+    assert stats["queries"] == 1.0
+    assert stats["cache_misses"] == 1.0
+    engine.query(np.array([0.3, 0.3, 0.4]), 4)
+    assert engine.stats()[f"kernel_{kernel}"] == 1.0
+
+
 def test_query_batch_concurrent_deferred_duplicates():
     """Concurrency: batches full of duplicate rows (the deferred-duplicate
     path that resolves repeats from the cache fill of the first
@@ -353,71 +394,6 @@ def test_engine_kernel_selector():
     for bogus in ("simd", "jit"):
         with pytest.raises(InvalidQueryError):
             QueryEngine(index, kernel=bogus)
-
-
-def test_prune_mode_is_bitwise_and_no_costlier(tmp_path):
-    """prune=True engines answer byte-identically with cost <= the plain
-    engine's, for single queries and batches alike; on an opened DL+
-    snapshot the bound table must also bite (strictly fewer Definition-9
-    tuples summed over the workload at every small k)."""
-    snapshot = open_snapshot(
-        save_snapshot(
-            DLPlusIndex(
-                generate("IND", 4000, 4, seed=20120401), max_layers=10
-            ).build(),
-            tmp_path / "snap",
-        )
-    )
-    plain = QueryEngine(snapshot, cache_size=0)
-    pruned = QueryEngine(snapshot, cache_size=0, prune=True)
-    rng = np.random.default_rng(20120402)
-    weights = [random_weight_vector(4, rng) for _ in range(16)]
-    for k in (1, 5, 10):
-        total_plain = total_pruned = 0
-        for w in weights:
-            a = plain.query(w, k)
-            b = pruned.query(w, k)
-            assert a.ids.tobytes() == b.ids.tobytes()
-            assert a.scores.tobytes() == b.scores.tobytes()
-            total_plain += a.cost
-            total_pruned += b.cost
-        assert total_pruned < total_plain, (k, total_pruned, total_plain)
-
-    relation = generate("IND", 800, 3, seed=23)
-    index = DLPlusIndex(relation, max_layers=12).build()
-    plain = QueryEngine(index, cache_size=0)
-    pruned = QueryEngine(index, cache_size=0, prune=True)
-    rng = np.random.default_rng(24)
-    weights = random_weights(rng, 3, 10)
-    for w in weights:
-        a = plain.query(w, 8)
-        b = pruned.query(w, 8)
-        np.testing.assert_array_equal(a.ids, b.ids)
-        assert a.scores.tobytes() == b.scores.tobytes()
-        assert b.cost <= a.cost
-    batch_plain = plain.query_batch(weights, 8)
-    batch_pruned = pruned.query_batch(weights, 8)
-    total_plain = sum(r.cost for r in batch_plain)
-    total_pruned = sum(r.cost for r in batch_pruned)
-    assert total_pruned <= total_plain
-    for a, b in zip(batch_plain, batch_pruned):
-        np.testing.assert_array_equal(a.ids, b.ids)
-        assert a.scores.tobytes() == b.scores.tobytes()
-
-
-def test_prune_promotes_reference_kernel_to_csr():
-    """kernel="reference" has no pruning path; a pruned engine promotes to
-    the bitwise-identical CSR kernel instead of silently not pruning."""
-    relation = generate("ANT", 300, 3, seed=25)
-    index = DLPlusIndex(relation).build()
-    reference = QueryEngine(index, cache_size=0, kernel="reference")
-    promoted = QueryEngine(index, cache_size=0, kernel="reference", prune=True)
-    w = np.array([0.5, 0.25, 0.25])
-    a = reference.query(w, 9)
-    b = promoted.query(w, 9)
-    np.testing.assert_array_equal(a.ids, b.ids)
-    assert a.scores.tobytes() == b.scores.tobytes()
-    assert b.cost <= a.cost
 
 
 def test_query_many_concurrent_bitwise_and_workspace_counted():

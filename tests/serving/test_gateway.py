@@ -305,11 +305,14 @@ def test_validation_precedes_admission(loop, forbid_real_sleeps, index):
     gateway = make_gateway(index, clock)
     bad_weights = submit(loop, gateway, np.array([0.5, -0.5, 1.0]), 5)
     bad_k = submit(loop, gateway, np.array([0.2, 0.3, 0.5]), 2.5)
+    bool_k = submit(loop, gateway, np.array([0.2, 0.3, 0.5]), np.True_)
     step(loop)
     with pytest.raises(InvalidWeightError):
         bad_weights.result()
     with pytest.raises(InvalidQueryError):
         bad_k.result()
+    with pytest.raises(InvalidQueryError, match="must be an integer"):
+        bool_k.result()
     assert gateway.accepted == 0
     assert gateway.stats()["pending"] == 0.0
     close(loop, gateway, clock)
