@@ -115,23 +115,33 @@ def _augmented_lower_facets(points: np.ndarray) -> list[Facet]:
     """Lower facets via the sentinel-augmented hull; [] when qhull fails."""
     n, d = points.shape
     lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    extent = float(np.max(hi - lo))
-    if extent <= 0.0:
+    axis_extent = points.max(axis=0) - lo
+    if not np.any(axis_extent > 0.0):
         # All points identical.
         return [Facet(members=np.array([0], dtype=np.intp))]
-    big = _SENTINEL_FACTOR * extent
-    sentinels = np.tile(lo, (d, 1))
-    sentinels[np.arange(d), np.arange(d)] += big
+    # Hull the points mapped to the unit box, axis by axis.  A positive
+    # diagonal scaling keeps the lower facets (and the convex skyline), but
+    # lets an axis whose spread is tiny next to another's still register
+    # against qhull's roundoff, which follows the sentinels' magnitude.
+    axis_scale = 1.0 / np.where(axis_extent > 0.0, axis_extent, 1.0)
+    unit = (points - lo) * axis_scale
+    sentinels = np.zeros((d, d))
+    sentinels[np.arange(d), np.arange(d)] = _SENTINEL_FACTOR
 
-    augmented = np.vstack([points, sentinels])
+    augmented = np.vstack([unit, sentinels])
     hull = convex_hull(augmented)
     if not hull.ok:
         return []
 
-    normals = hull.equations[:, :-1]
-    offsets = hull.equations[:, -1]
-    lower = np.all(normals <= _NORMAL_TOL, axis=1)
+    unit_normals = hull.equations[:, :-1]
+    # n_u·u + o_u = 0 with u = (x - lo)·s is (n_u·s)·x + (o_u - n_u·s·lo) = 0;
+    # rescale to a unit normal.  Signs survive, so lower facets stay lower.
+    normals = unit_normals * axis_scale
+    offsets = hull.equations[:, -1] - normals @ lo
+    norms = np.linalg.norm(normals, axis=1)
+    normals = normals / norms[:, None]
+    offsets = offsets / norms
+    lower = np.all(unit_normals <= _NORMAL_TOL, axis=1)
     facets: list[Facet] = []
     seen: set[tuple[int, ...]] = set()
     for facet_idx in np.nonzero(lower)[0]:

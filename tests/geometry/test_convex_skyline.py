@@ -64,6 +64,16 @@ def test_cone_apex_found():
     assert 0 in convex_skyline(points)
 
 
+def test_tiny_spread_axes_keep_their_vertices():
+    """Regression: two axes whose spread is 1e-10 next to another's 1 used
+    to fall under qhull's roundoff, dropping two of three vertices."""
+    points = np.array(
+        [[0.0, 1e-10, 0.0, 0.0], [0.0, 0.0, 1e-10, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    )
+    assert set(convex_skyline(points).tolist()) == {0, 1, 2}
+    assert lp_argmin_members(points) <= {0, 1, 2}
+
+
 def test_empty_and_tiny():
     assert convex_skyline(np.empty((0, 3))).shape == (0,)
     np.testing.assert_array_equal(convex_skyline(np.array([[0.1, 0.2, 0.3]])), [0])

@@ -45,6 +45,22 @@ def test_pure_facets_span_hyperplane(rng):
         np.testing.assert_allclose(residuals, 0.0, atol=1e-8)
 
 
+def test_hyperplanes_hold_on_anisotropic_axes(rng):
+    """The hull runs on per-axis rescaled points; the facets it hands back
+    are unit-normal supporting hyperplanes of the original points."""
+    points = rng.random((80, 3)) * np.array([1.0, 1e-6, 1e3])
+    facets = [f for f in lower_facets(points) if f.normal is not None]
+    assert any(f.pure for f in facets)
+    for facet in facets:
+        np.testing.assert_allclose(np.linalg.norm(facet.normal), 1.0)
+        assert np.all(facet.normal <= 1e-3)
+        if facet.pure:
+            residuals = points[facet.members] @ facet.normal + facet.offset
+            np.testing.assert_allclose(residuals, 0.0, atol=1e-9)
+        # Supporting: every point lies on the facet or above it.
+        assert np.all(points @ facet.normal + facet.offset <= 1e-9)
+
+
 def test_single_point():
     facets = lower_facets(np.array([[0.5, 0.5, 0.5]]))
     assert len(facets) == 1
