@@ -21,8 +21,9 @@ through the shared :func:`~repro.serving.engine.validate_k` and weights
 through :func:`~repro.relation.normalize_weights` (malformed inputs fail
 at the boundary); *raw* weights are forwarded to the fronted engines so
 normalization happens exactly once (normalizing twice shifts scores by an
-ulp and breaks bitwise agreement); walks reuse the fronted engine's
-:class:`~repro.core.query.QueryWorkspace`/batch lanes and result cache.
+ulp and breaks bitwise agreement); walks go through the fronted engine's
+``query_batch``, so they reuse its kernel dispatch, workspaces and result
+cache.
 
 Candidate sets come from the layer containment theorem: a tuple of coarse
 layer ``j`` sits atop a chain of ``j`` dominators, so every top-k answer
@@ -315,7 +316,8 @@ class AnalyticsEngine:
 
         Resolution order per vector: weight-independent certificates
         (target too deep / ``k`` covers everything), walk-free zonemap
-        screens, then the batch walk kernel for the remainder —
+        screens, then one ``engine.query_batch`` walk for the remainder
+        (native when the compiler is present) —
         ``result.resolved_without_walk`` reports how much never walked.
         Raw workload rows are forwarded to the fronted engine, which
         normalizes exactly once (the cluster invariant), so walk answers
@@ -541,7 +543,7 @@ class AnalyticsEngine:
 
         Exactly one of ``edit`` (a :class:`TupleEdit`) or ``new_weights``
         must be given.  Both paths serve through the fronted engine, so
-        they reuse its workspace scratch, batch lanes, and result cache.
+        they reuse its kernel dispatch, workspaces and result cache.
         """
         k = validate_k(k)
         raw = np.asarray(weights, dtype=np.float64)

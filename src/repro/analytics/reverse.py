@@ -19,7 +19,8 @@ vectors without any gate-graph walk using the layer containment theorem
 (every top-k member lies in coarse layers ``0..k-1``, so beater counts
 restricted to those layers decide membership exactly) plus two-sided
 zonemap bounds (:func:`repro.core.structure.compute_block_extrema`); the
-few unresolved vectors fall through to the batch walk kernel.
+few unresolved vectors fall through to one ``engine.query_batch`` walk,
+which crosses natively when the compiler is present.
 
 Every comparison against a kernel answer uses the kernels' own ``einsum``
 contraction (:func:`repro.core.query.score_rows`), so screen decisions are

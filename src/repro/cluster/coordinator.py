@@ -143,13 +143,10 @@ class ClusterEngine(ServingLoop):
     engine_kwargs:
         Keywords for each shard's :class:`~repro.serving.QueryEngine`;
         shard caches stay disabled — result caching lives here, keyed by
-        the cluster version.
-    kernel:
-        Traversal kernel for every shard engine (``"auto"`` default —
-        dispatch via :func:`~repro.core.dispatch.select_kernel`: the
-        native walker when it loads, else the python kernels, including
-        the lane-parallel batch kernel for forwarded weight groups); an
-        explicit ``engine_kwargs["kernel"]`` wins.
+        the cluster version.  Each shard engine walks with the kernel
+        :func:`~repro.core.dispatch.select_kernel` picks: the native
+        walker when it loads, else the python kernels, including the
+        lane-parallel batch kernel for forwarded weight groups.
     merge:
         Merge strategy, ``"threshold"`` (default) or ``"naive"``; the
         ``merge`` property may be reassigned between calls and rejects
@@ -186,7 +183,6 @@ class ClusterEngine(ServingLoop):
         index_class=None,
         index_kwargs: dict | None = None,
         engine_kwargs: dict | None = None,
-        kernel: str = "auto",
         merge: str = "threshold",
         replicate: bool = False,
         snapshot_dir=None,
@@ -200,8 +196,6 @@ class ClusterEngine(ServingLoop):
             from repro.core import DLPlusIndex
 
             index_class = DLPlusIndex
-        engine_kwargs = dict(engine_kwargs or {})
-        engine_kwargs.setdefault("kernel", kernel)
         self.partitioning: Partitioning = make_partitioning(
             relation, shards, partitioner
         )

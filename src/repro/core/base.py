@@ -8,6 +8,7 @@ makes the paper's Definition 9 cost directly comparable across algorithms.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -17,6 +18,34 @@ from repro.exceptions import InvalidQueryError
 from repro.relation import Relation, normalize_weights
 from repro.stats import AccessCounter, BuildStats
 from repro.stats.counters import Stopwatch
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as a plain ``int``, or
+    :class:`~repro.exceptions.InvalidQueryError` naming ``what``.
+
+    Accepts anything integral (``int``, ``np.int64``, ``2.0``); rejects
+    non-integral values, which a cast would silently truncate or round,
+    and strings and booleans (python or numpy), which ``float`` would
+    coerce — ``"5"`` or ``True`` in a request is a caller bug, not a size.
+    """
+    if isinstance(value, np.bool_):
+        value = bool(value)  # reported exactly like a python bool
+    if isinstance(value, (str, bytes, bool)):
+        raise InvalidQueryError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)  # int and numpy integers
+    except TypeError:
+        pass
+    try:
+        as_float = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidQueryError(
+            f"{what} must be an integer, got {value!r}"
+        ) from exc
+    if not as_float.is_integer():
+        raise InvalidQueryError(f"{what} must be an integer, got {value!r}")
+    return int(as_float)
 
 
 @dataclass

@@ -17,6 +17,7 @@ import heapq
 
 import numpy as np
 
+from repro.core.base import as_integer
 from repro.core.query import relax_gates, score_node, score_rows, seed_scores
 from repro.core.structure import LayerStructure
 from repro.exceptions import IndexCapacityError, InvalidQueryError
@@ -85,7 +86,9 @@ class TopKCursor:
         part of a bounded index) is exhausted; raises
         :class:`IndexCapacityError` when a partial index cannot guarantee
         the requested depth.  ``fetch(0)`` is a valid no-op returning empty
-        arrays.
+        arrays; a non-integral ``m`` (``2.5``, ``True``) raises
+        :class:`InvalidQueryError`, as :func:`~repro.serving.validate_k`
+        does for k.
 
         ``stop_score`` is the **threshold hook** the cluster coordinator's
         scatter-gather merge uses (see :mod:`repro.cluster`): when given,
@@ -99,6 +102,7 @@ class TopKCursor:
         stops early every future tuple of this cursor also exceeds the
         threshold.
         """
+        m = as_integer(m, "fetch size")
         if m < 0:
             raise InvalidQueryError(f"fetch size must be >= 0, got {m}")
         if m == 0:

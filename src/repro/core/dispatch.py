@@ -1,15 +1,16 @@
-"""Auto kernel dispatch for Algorithm 2 traversals.
+"""Kernel dispatch for Algorithm 2 traversals.
 
 Every kernel walks the same Algorithm 2 and returns bitwise-identical
 answers and Definition-9 counts, so dispatch only picks the fastest
-one.  The last full-scale kernel measurement sets the order
-(``git show 5b80d0f:BENCH_query.json``):
+one, and :func:`select_kernel` is the only place that picks: the serving
+engines take no kernel option.  The last full-scale kernel measurement
+sets the order (``git show 5b80d0f:BENCH_query.json``):
 
 * the **native** compiled kernel (``repro/core/native/`` — the C classic
   walk loaded via cffi ABI mode) wins every cell it supports at every
   batch width: one native walk per query beats the python lane-parallel
   batch kernel's best per-query cost at any measured width up to B=128
-  (native 5.4-9.7x over csr, batch at most 5.0x).  ``auto`` therefore
+  (native 5.4-9.7x over csr, batch at most 5.0x).  Dispatch therefore
   picks it whenever :func:`native_kernel_usable` holds, and
   :meth:`~repro.serving.QueryEngine.query_batch` sends each group to it
   in one call (:func:`~repro.core.native.native_walk_lanes`);
@@ -24,10 +25,11 @@ one.  The last full-scale kernel measurement sets the order
 
 The native kernel is reached through :func:`get_jit_kernel`, which
 builds the bundled C walker's ``.so`` with the host compiler on first
-use.  When no compiler is present or the build fails, the ``auto`` path
-logs one warning and falls back to the python kernels permanently; only
-an explicit ``kernel="native"`` request raises
-:class:`~repro.exceptions.KernelUnavailableError`.
+use and returns :func:`~repro.core.native.native_walk_lanes`.  When no
+compiler is present or the build fails, dispatch logs one warning and
+falls back to the python kernels permanently; serving never raises for
+it.  To compare kernels, call the kernel functions directly, or set
+``REPRO_NATIVE_CC=none`` to serve through the python ladder.
 """
 
 from __future__ import annotations
@@ -72,33 +74,31 @@ NATIVE_DISPATCH_MAX_DIM = _native.NATIVE_MAX_DIM
 #: measured bench grid).
 NATIVE_DISPATCH_MAX_NODES = 2**30 - 1
 
-VALID_KERNELS = ("auto", "reference", "csr", "batch", "native")
-
-
 def get_jit_kernel() -> Callable:
-    """Return the compiled kernel or raise :class:`KernelUnavailableError`.
+    """Return :func:`~repro.core.native.native_walk_lanes` or raise
+    :class:`KernelUnavailableError`.
 
-    Reached by explicit ``kernel="native"`` requests and by ``auto``
-    dispatches that already verified availability through
-    :func:`native_kernel_usable`, so the error names the remedy.  The
-    first call builds (or loads the cached) C walker; a failed build is
-    remembered by the loader, so later calls fail just as fast.
+    The serving engine calls it for every native group, after
+    :func:`select_kernel` verified availability, and walks through the
+    callable it returns.  A direct caller on a host without the C walker
+    gets an error naming the remedy.  The first call builds (or loads the
+    cached) C walker; a failed build is remembered by the loader, so
+    later calls fail just as fast.
     """
     try:
         return _native.get_native_kernel()
     except Exception as exc:
         raise KernelUnavailableError(
-            "kernel='native' requested but no compiled walk kernel is "
-            "available: the bundled C walker could not be built — a C "
-            "toolchain (cc/gcc/clang) and cffi are required, or a cached "
-            "build under the native cache dir; see "
-            "repro.core.native.build_info() for the failure detail, or "
-            "use kernel='auto' to serve via the python kernels"
+            "no compiled walk kernel is available: the bundled C walker "
+            "could not be built — a C toolchain (cc/gcc/clang) and cffi "
+            "are required, or a cached build under the native cache dir; "
+            "see repro.core.native.build_info() for the failure detail; "
+            "the serving engines fall back to the python kernels"
         ) from exc
 
 
 def native_kernel_usable(n_nodes: int, d: int) -> bool:
-    """Can ``auto`` dispatch this shape to the native kernel right now?
+    """Can dispatch send this shape to the native kernel right now?
 
     Shape gates first (cheap): the bitwise contract covers
     d <= 7 and int32 gate-state structures only.  Then the build/load
@@ -117,14 +117,14 @@ def select_kernel(
     d: int | None = None,
     batch_width: int = 1,
 ) -> str:
-    """Pick the concrete kernel for an ``auto`` dispatch.
+    """Pick the kernel that serves one group of queries.
 
     Pass either a built ``structure`` or explicit ``n_nodes``/``d``
     (both required in that case). ``batch_width`` is the number of
     queries sharing one traversal opportunity (same effective k).
 
     Returns one of ``"native"``, ``"batch"``, ``"reference"``,
-    ``"csr"`` — never ``"auto"``.  ``"native"`` is returned whenever the
+    ``"csr"``.  ``"native"`` is returned whenever the
     compiled kernel can serve the shape *now* (the probe builds on
     first use), whatever ``batch_width`` is; otherwise the python
     crossovers below apply.

@@ -2,14 +2,14 @@
 
 Public surface:
 
-* :func:`get_native_kernel` — build/load the library and return the
-  ``process_top_k``-compatible callable (raises
+* :func:`get_native_kernel` — build/load the library and return
+  :func:`native_walk_lanes` (raises
   :class:`~repro.exceptions.NativeBuildError` when it cannot).
 * :func:`native_walk_lanes` — one FFI crossing for a whole group of
   queries, answered lane by lane (the serving engine's path, one row or
-  many); the kernel callable above is its one-lane call.
+  many).
 * :func:`native_ready` — non-raising availability probe used by the
-  ``auto`` dispatch path (one logged warning on failure, then silence).
+  dispatch path (one logged warning on failure, then silence).
 * :func:`build_info` — build outcome (``built``/``cached``/``failed``/
   ``unattempted``) for ``engine.stats()`` and operators.
 * :class:`NativeWorkspace` — reusable per-structure scratch, the native
@@ -29,7 +29,6 @@ from repro.core.native.kernel import (
     NativeWorkspace,
     build_info,
     get_native_kernel,
-    native_process_top_k,
     native_ready,
     native_supported,
     native_walk_lanes,
@@ -45,7 +44,6 @@ __all__ = [
     "find_compiler",
     "get_native_kernel",
     "library_path",
-    "native_process_top_k",
     "native_ready",
     "native_supported",
     "native_walk_lanes",

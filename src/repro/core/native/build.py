@@ -116,9 +116,9 @@ def build_library(force: bool = False) -> tuple[Path, bool]:
     """Compile (or reuse) the native library; ``(path, was_cached)``.
 
     Raises :class:`~repro.exceptions.NativeBuildError` when no compiler
-    is available or the compile fails — callers on the ``auto`` path
-    catch it and fall back; the explicit ``kernel="native"`` path
-    surfaces it as :class:`~repro.exceptions.KernelUnavailableError`.
+    is available or the compile fails — dispatch catches it and falls
+    back; :func:`repro.core.dispatch.get_jit_kernel` surfaces it as
+    :class:`~repro.exceptions.KernelUnavailableError`.
     """
     target = library_path()
     if target.exists() and not force:

@@ -3,20 +3,20 @@
 The C library has one walk entry, ``repro_walk_many``: it scores the
 seeds and walks a whole group of queries one after another on one
 workspace, in one FFI crossing with the GIL released.
-:func:`native_walk_lanes` is its python face, answering lane by lane;
-the serving engine calls it once per k-group, one row or many.  A
-crossing's python work is fixed per call: shape checks, one int64 block
-(per-lane ks, answer and Definition-9 counts, answer ids) and one
-float64 score array, three buffer wraps with pre-resolved types, and
-the workspace lock.  :func:`native_process_top_k` is the one-lane call,
-honours the :func:`repro.core.query.process_top_k`
-signature and its bitwise contract — same answer bytes, same
-Definition-9 counts — and is what
-:func:`repro.core.dispatch.get_jit_kernel` returns once the native
-library loads.  Queries the C kernel cannot serve bitwise
-(``fetch_real`` storage reads, per-access trace hooks, d > 7 where
-numpy's einsum switches to an unroll-by-8 reduction tree, or int64
-gate-state structures) delegate to the python kernel transparently.
+:func:`native_walk_lanes` is its one python face, answering lane by
+lane, and is what :func:`repro.core.dispatch.get_jit_kernel` returns once
+the native library loads; the serving engine calls it once per k-group,
+one row or many.  A crossing's python work is fixed per call: shape
+checks, one int64 block (per-lane ks, answer and Definition-9 counts,
+answer ids) and one float64 score array, three buffer wraps with
+pre-resolved types, and the workspace lock.  Each lane's answer bytes
+and Definition-9 counts are bitwise those of
+:func:`repro.core.query.process_top_k`.  Walks the C kernel cannot serve
+bitwise (``fetch_real`` storage reads, per-access trace hooks, d > 7
+where numpy's einsum switches to an unroll-by-8 reduction tree, or int64
+gate-state structures) never reach it: storage-backed and traced walks
+call the python kernels directly, and
+:func:`repro.core.dispatch.select_kernel` sends the other shapes to them.
 
 Load path
 ---------
@@ -40,12 +40,7 @@ import numpy as np
 from repro.core.native.build import CDEF, build_library, library_path
 # ``seed_scores`` stays a module attribute (the walk scores seeds in C):
 # benchmarks/e2e/workloads.py traces it here by name.
-from repro.core.query import (  # noqa: F401
-    _einsum,
-    process_top_k,
-    seed_scores,
-    selector_seeds,
-)
+from repro.core.query import _einsum, seed_scores, selector_seeds  # noqa: F401
 from repro.core.structure import LayerStructure
 from repro.exceptions import IndexCapacityError, NativeBuildError
 
@@ -132,7 +127,7 @@ def _load():
 def native_ready(warn: bool = False) -> bool:
     """True when the compiled kernel is loadable; never raises.
 
-    ``warn=True`` (the ``auto`` dispatch path) logs the failure detail
+    ``warn=True`` (the dispatch path) logs the failure detail
     once per process, then stays silent — build failure means one
     warning and a permanent fallback, not a per-query error stream.
     """
@@ -144,7 +139,7 @@ def native_ready(warn: bool = False) -> bool:
         if warn and not _warned:
             _warned = True
             logger.warning(
-                "native walk kernel unavailable — kernel='auto' will serve "
+                "native walk kernel unavailable — queries will be served "
                 "via the python kernels (%s)", exc
             )
         return False
@@ -293,7 +288,6 @@ def native_walk_lanes(
     ks,
     *,
     workspace: NativeWorkspace | None = None,
-    seeds: list[np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
     """Walk every row of ``weights_matrix`` in one ``repro_walk_many`` call.
 
@@ -313,9 +307,10 @@ def native_walk_lanes(
     workspace lock; the block is read back with one ``tolist`` and two
     slices per lane.
 
-    ``seeds`` optionally fixes each lane's entry node ids (unique per
-    lane); by default they come from the structure.  The structure must
-    satisfy :func:`native_supported`.
+    A structure with a seed selector gets each lane's entry nodes from
+    :func:`~repro.core.query.selector_seeds`, range-checked before C
+    reads them; static seeds live in the prepared context.  The structure
+    must satisfy :func:`native_supported`.
     """
     lib = _load()
     ffi = _ffi
@@ -338,13 +333,10 @@ def native_walk_lanes(
             f"index was built with only {structure.num_coarse_layers} coarse "
             f"layers; top-{k_max} requires at least k layers"
         )
-    if seeds is None and structure.seed_selector is not None:
-        seeds = [selector_seeds(structure, w) for w in weights]
-    if seeds is None:
+    if structure.seed_selector is None:
         indptr_ptr = ids_ptr = ffi.NULL
     else:
-        if len(seeds) != n_lanes:
-            raise ValueError(f"need one seed list per lane, got {len(seeds)}")
+        seeds = [selector_seeds(structure, w) for w in weights]
         seed_indptr = np.zeros(n_lanes + 1, dtype=np.int64)
         np.cumsum([len(lane) for lane in seeds], out=seed_indptr[1:])
         seed_ids = _i64(np.concatenate(seeds)) if n_lanes else seed_indptr[:0]
@@ -404,48 +396,7 @@ def native_walk_lanes(
     return lanes
 
 
-def native_process_top_k(
-    structure: LayerStructure,
-    weights: np.ndarray,
-    k: int,
-    counter,
-    fetch_real=None,
-    seeds=None,
-    workspace: NativeWorkspace | None = None,
-):
-    """Compiled :func:`~repro.core.query.process_top_k` — same contract.
-
-    The one-lane call of :func:`native_walk_lanes`.  Answers, heap order,
-    and Definition-9 counts are bitwise identical to the python kernels;
-    modes the C walk cannot observe faithfully (``fetch_real``, trace
-    hooks, d > NATIVE_MAX_DIM, int64 gate state) delegate to
-    :func:`process_top_k` unchanged.  ``seeds`` (a precomputed
-    :func:`~repro.core.query.seed_scores` pair) fixes the entry nodes;
-    the C side rescores them bitwise alike.
-    """
-    trace_hook = getattr(counter, "count_real_tuple", None)
-    if (
-        fetch_real is not None
-        or trace_hook is not None
-        or not native_supported(structure)
-    ):
-        return process_top_k(
-            structure, weights, k, counter,
-            fetch_real=fetch_real, seeds=seeds,
-        )
-    [(ids, scores, real, pseudo)] = native_walk_lanes(
-        structure,
-        np.asarray(weights, dtype=np.float64).reshape(1, -1),
-        k,
-        workspace=workspace,
-        seeds=None if seeds is None else [seeds[0]],
-    )
-    counter.count_real(real)
-    counter.count_pseudo(pseudo)
-    return ids, scores
-
-
 def get_native_kernel():
-    """Load the library and return the kernel callable (or raise)."""
+    """Load the library and return :func:`native_walk_lanes` (or raise)."""
     _load()
-    return native_process_top_k
+    return native_walk_lanes

@@ -235,7 +235,6 @@ def process_top_k(
     k: int,
     counter: AccessCounter,
     fetch_real=None,
-    seeds: tuple[np.ndarray, np.ndarray] | None = None,
     workspace: QueryWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(ids, scores)`` of the top-k real tuples, ascending by score.
@@ -249,11 +248,9 @@ def process_top_k(
 
     ``fetch_real(node) -> values`` overrides where *real* tuple values come
     from (disk-resident execution reads them through a buffered heap file);
-    pseudo-tuples always score from the in-memory structure.  ``seeds``
-    optionally supplies a precomputed :func:`seed_scores` result (the batch
-    serving engine computes it once per deduplicated weight vector); it is
-    ignored when ``fetch_real`` is given, since real seed values must then
-    come from storage.  ``workspace`` (see :class:`QueryWorkspace`)
+    pseudo-tuples always score from the in-memory structure.  A counter
+    with a ``count_real_tuple(node)`` hook (the I/O cost model) observes
+    every real access in walk order.  ``workspace`` (see :class:`QueryWorkspace`)
     amortizes gate-state initialisation across queries; omitting it keeps
     the kernel a pure function.
     """
@@ -279,7 +276,7 @@ def process_top_k(
         try:
             result = _solo_walk(
                 structure, weights, k, counter, fetch_real, trace_hook,
-                seeds, state, touched,
+                state, touched,
             )
         except BaseException:
             if ws_acquired:
@@ -301,7 +298,6 @@ def _solo_walk(
     counter: AccessCounter,
     fetch_real,
     trace_hook,
-    seeds: tuple[np.ndarray, np.ndarray] | None,
     state: np.ndarray,
     touched: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -365,9 +361,7 @@ def _solo_walk(
             if state[node] >= 0:  # not yet enqueued
                 access_batch(np.asarray([node], dtype=np.intp))
     else:
-        seed_ids, precomputed = seeds if seeds is not None else seed_scores(
-            structure, weights
-        )
+        seed_ids, precomputed = seed_scores(structure, weights)
         # Seeds are unique (static seeds by construction, selector seeds
         # deduplicated in seed_scores), so the whole block enqueues in one
         # shot; heapify over an O(n log n) push loop.  The heap holds the
@@ -504,8 +498,6 @@ def process_top_k_batch(
     weights_matrix: np.ndarray,
     k,
     counters,
-    fetch_real=None,
-    seeds=None,
     workspace: BatchWorkspace | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Run B top-k queries through one lane-parallel traversal.
@@ -554,17 +546,18 @@ def process_top_k_batch(
       tuples, and emitted scores therefore cannot drift by even an ulp;
       the batch-equivalence property suite asserts this across the full
       distribution/dimension grid.
-    * Seed scoring goes through the shared :func:`seed_scores` path with a
-      fresh contiguous copy of each lane's weight row (a row *view* of the
-      matrix has lane-dependent alignment; a copy has the same layout a
-      solo query's weight vector does).
+    * Static seeds are scored for every lane in one GEMM-shaped
+      contraction; selector seeds go through the shared
+      :func:`seed_scores` path with a fresh contiguous copy of each lane's
+      weight row (a row *view* of the matrix has lane-dependent alignment;
+      a copy has the same layout a solo query's weight vector does).
 
-    ``fetch_real`` behaves as in :func:`process_top_k` (per-node storage
-    reads; scoring arithmetic matches the per-query kernel exactly).
-    ``seeds`` optionally supplies one precomputed :func:`seed_scores`
-    result per lane; ignored when ``fetch_real`` is given.  ``workspace``
-    (see :class:`BatchWorkspace`) amortizes gate-state initialisation
-    across batches; omitting it keeps the kernel a pure function.
+    The kernel reads every value from the in-memory structure and settles
+    counts in bulk, so it takes no ``fetch_real`` override and calls no
+    per-access trace hook (storage-backed and traced walks use
+    :func:`process_top_k`).  ``workspace`` (see :class:`BatchWorkspace`)
+    amortizes gate-state initialisation across batches; omitting it keeps
+    the kernel a pure function.
     """
     weights_matrix = np.asarray(weights_matrix, dtype=np.float64)
     if weights_matrix.ndim != 2:
@@ -618,21 +611,8 @@ def process_top_k_batch(
         heaps: list[list[tuple[float, int]]] = [[] for _ in range(n_lanes)]
         answer_ids: list[list[int]] = [[] for _ in range(n_lanes)]
         answer_scores: list[list[float]] = [[] for _ in range(n_lanes)]
-        trace_hooks = [getattr(c, "count_real_tuple", None) for c in counters]
-        any_hook = any(hook is not None for hook in trace_hooks)
 
-        # Fresh contiguous per-lane weight copies for the paths that score
-        # one node at a time: a row view's alignment depends on the lane
-        # offset, a copy's does not — per-node scoring and seed scoring
-        # must see the exact memory layout a solo query would.  The static
-        # all-lane seed path below never scores per lane, so it skips them.
-        lane_weights: list[np.ndarray] | None = None
-        if (
-            fetch_real is None
-            and seeds is None
-            and structure.seed_selector is None
-            and not any_hook
-        ):
+        if structure.seed_selector is None:
             # Static seeds are one shared block for every lane: score them
             # with a single GEMM-shaped contraction (bitwise equal per
             # column to seed_scores' per-row contraction) and stamp all
@@ -656,78 +636,37 @@ def process_top_k_batch(
                 heaps[lane] = heap
                 counters[lane].count_real(real_seeds)
                 counters[lane].count_pseudo(pseudo_seeds)
-            lane_range: range | tuple = ()
         else:
-            lane_weights = [
-                np.array(weights_matrix[lane], copy=True)
-                for lane in range(n_lanes)
-            ]
-            lane_range = range(n_lanes)
-
-        # Seeding replays the per-query kernel's seed path lane by lane (one
-        # einsum per lane through seed_scores — seeds are per query, not per
-        # pop, so this is off the hot path).
-        for lane in lane_range:
-            heap = heaps[lane]
-            counter = counters[lane]
-            trace_hook = trace_hooks[lane]
-            w = lane_weights[lane]
-            if fetch_real is not None:
-                enqueued: list[int] = []
-                for node in structure.seeds(w).tolist():
-                    slot = node * stride + lane
-                    if state_flat[slot] < 0:  # already enqueued (repeated seed)
-                        continue
-                    state_flat[slot] = -1
-                    enqueued.append(node)
-                    if node < n_real:
-                        score = float(fetch_real(node) @ w)
-                        counter.count_real()
-                        if trace_hook is not None:
-                            trace_hook(node)
-                    else:
-                        score = score_node(values, node, w)
-                        counter.count_pseudo()
-                    heappush(heap, (score, node))
-                if restore and enqueued:
-                    nodes_arr = np.asarray(enqueued, dtype=np.intp)
-                    touched_flat.append(nodes_arr * stride + lane)
-                    touched_nodes.append(nodes_arr)
-                continue
-            seed_ids, precomputed = (
-                seeds[lane] if seeds is not None else seed_scores(structure, w)
-            )
-            seed_slots = seed_ids * stride + lane
-            state_flat[seed_slots] = -1
-            if restore:
-                touched_flat.append(seed_slots)
-                touched_nodes.append(seed_ids)
-            if trace_hook is None:
+            # Selector seeds are per query: each lane replays the solo
+            # kernel's seed path through seed_scores, on a fresh contiguous
+            # copy of its weight row (a row view's alignment depends on the
+            # lane offset; a copy has the layout a solo query's weight
+            # vector does).  One einsum per lane, off the hot path.
+            for lane in range(n_lanes):
+                seed_ids, precomputed = seed_scores(
+                    structure, np.array(weights_matrix[lane], copy=True)
+                )
+                seed_slots = seed_ids * stride + lane
+                state_flat[seed_slots] = -1
+                if restore:
+                    touched_flat.append(seed_slots)
+                    touched_nodes.append(seed_ids)
+                heap = heaps[lane]
                 real = 0
                 for node, score in zip(seed_ids.tolist(), precomputed.tolist()):
                     if node < n_real:
                         real += 1
                     heap.append((score, node))
-                counter.count_real(real)
-                counter.count_pseudo(seed_ids.shape[0] - real)
-            else:
-                for node, score in zip(seed_ids.tolist(), precomputed.tolist()):
-                    if node < n_real:
-                        counter.count_real()
-                        trace_hook(node)
-                    else:
-                        counter.count_pseudo()
-                    heap.append((score, node))
-            heapq.heapify(heap)
+                heapq.heapify(heap)
+                counters[lane].count_real(real)
+                counters[lane].count_pseudo(seed_ids.shape[0] - real)
 
-        # Fast-path Definition 9 bookkeeping: per-lane real/pseudo access
-        # totals accumulate in two arrays (one bincount per round) and are
+        # Definition 9 bookkeeping: per-lane real/pseudo access totals
+        # accumulate in two arrays (one bincount per round) and are
         # flushed into the counters once at the end — totals are
         # order-free, so deferring them is invisible.
-        fast_counts = fetch_real is None and not any_hook
-        if fast_counts:
-            acc_total = np.zeros(n_lanes, dtype=np.int64)
-            acc_real = np.zeros(n_lanes, dtype=np.int64)
+        acc_total = np.zeros(n_lanes, dtype=np.int64)
+        acc_real = np.zeros(n_lanes, dtype=np.int64)
 
         active = [lane for lane in range(n_lanes) if heaps[lane] and ks[lane] > 0]
         while active:
@@ -905,64 +844,30 @@ def process_top_k_batch(
                     state_flat[all_flat] = -1
 
             if all_lanes is not None:
-                if fast_counts:
-                    # One paired contraction scores every opened (node,
-                    # lane) pair; one bincount per side accumulates
-                    # Definition 9 counts for all lanes at once.
-                    scores = _einsum(
-                        "ij,ij->i", values[all_children], weights_matrix[all_lanes]
-                    )
-                    acc_total += np.bincount(all_lanes, minlength=n_lanes)
-                    acc_real += np.bincount(
-                        all_lanes[all_children < n_real], minlength=n_lanes
-                    )
-                    for lane, child, score in zip(
-                        all_lanes.tolist(),
-                        all_children.tolist(),
-                        scores.tolist(),
-                    ):
-                        heappush(heaps[lane], (score, child))
-                elif fetch_real is None:
-                    scores = _einsum(
-                        "ij,ij->i", values[all_children], weights_matrix[all_lanes]
-                    )
-                    for lane, child, score in zip(
-                        all_lanes.tolist(), all_children.tolist(), scores.tolist()
-                    ):
-                        if child < n_real:
-                            counters[lane].count_real()
-                            hook = trace_hooks[lane]
-                            if hook is not None:
-                                hook(child)
-                        else:
-                            counters[lane].count_pseudo()
-                        heappush(heaps[lane], (score, child))
-                else:
-                    for lane, child in zip(
-                        all_lanes.tolist(), all_children.tolist()
-                    ):
-                        w = lane_weights[lane]
-                        if child < n_real:
-                            score = float(fetch_real(child) @ w)
-                            counters[lane].count_real()
-                            hook = trace_hooks[lane]
-                            if hook is not None:
-                                hook(child)
-                        else:
-                            score = score_node(values, child, w)
-                            counters[lane].count_pseudo()
-                        heappush(heaps[lane], (score, child))
+                # One paired contraction scores every opened (node, lane)
+                # pair; one bincount per side accumulates Definition 9
+                # counts for all lanes at once.
+                scores = _einsum(
+                    "ij,ij->i", values[all_children], weights_matrix[all_lanes]
+                )
+                acc_total += np.bincount(all_lanes, minlength=n_lanes)
+                acc_real += np.bincount(
+                    all_lanes[all_children < n_real], minlength=n_lanes
+                )
+                for lane, child, score in zip(
+                    all_lanes.tolist(), all_children.tolist(), scores.tolist()
+                ):
+                    heappush(heaps[lane], (score, child))
 
             active = [lane for lane in relax_lanes if heaps[lane]]
 
-        if fast_counts:
-            for lane in range(n_lanes):
-                real = int(acc_real[lane])
-                if real:
-                    counters[lane].count_real(real)
-                pseudo = int(acc_total[lane]) - real
-                if pseudo:
-                    counters[lane].count_pseudo(pseudo)
+        for lane in range(n_lanes):
+            real = int(acc_real[lane])
+            if real:
+                counters[lane].count_real(real)
+            pseudo = int(acc_total[lane]) - real
+            if pseudo:
+                counters[lane].count_pseudo(pseudo)
 
         if restore and touched_flat:
             # Put every written entry back to template state so the next
@@ -994,7 +899,6 @@ def process_top_k_reference(
     k: int,
     counter: AccessCounter,
     fetch_real=None,
-    seeds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The per-node reference kernel — Algorithm 2, one child at a time.
 
@@ -1041,9 +945,7 @@ def process_top_k_reference(
     if fetch_real is not None:
         seed_ids, precomputed = structure.seeds(weights), None
     else:
-        seed_ids, precomputed = seeds if seeds is not None else seed_scores(
-            structure, weights
-        )
+        seed_ids, precomputed = seed_scores(structure, weights)
     for pos, node in enumerate(seed_ids):
         node = int(node)
         if not enqueued[node]:

@@ -548,8 +548,8 @@ class LayerStructure:
         Disjoint edge sets let a kernel fuse the ∀-decrement and ∃-ungate
         of one pop into a single gather (no node's state is written twice
         in the round).  All four shipped algorithms produce disjoint sets;
-        the check is O(edges) and cached on the structure so both the
-        batch and solo workspaces share one verdict.
+        the check is O(edges) and cached on the structure; the batch
+        workspace reads it once per structure.
         """
         cached = self._edges_disjoint
         if cached is None:

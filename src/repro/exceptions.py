@@ -82,10 +82,10 @@ class GatewayClosedError(ReproError):
 class KernelUnavailableError(ReproError):
     """A requested kernel cannot run in this environment.
 
-    Raised when ``kernel="native"`` is requested but no compiled walk
-    kernel is available — the bundled C walker could not be built (no C
-    toolchain, or the build failed).  ``kernel="auto"`` never selects
-    unavailable kernels, so only explicit requests see it.
+    Raised by :func:`repro.core.dispatch.get_jit_kernel` when no compiled
+    walk kernel is available — the bundled C walker could not be built
+    (no C toolchain, or the build failed).  Dispatch never selects an
+    unavailable kernel, so serving never sees it.
     """
 
 
@@ -94,8 +94,8 @@ class NativeBuildError(ReproError):
 
     Raised by :mod:`repro.core.native` when no C compiler is found, the
     compile fails, cffi is absent, or the built library fails its
-    load-time bitwise scoring self-check.  The ``auto`` dispatch path
-    catches it (one logged warning, permanent fallback to the python
-    kernels); an explicit ``kernel="native"`` request surfaces it as
+    load-time bitwise scoring self-check.  Dispatch catches it (one
+    logged warning, permanent fallback to the python kernels);
+    :func:`repro.core.dispatch.get_jit_kernel` surfaces it as
     :class:`KernelUnavailableError`.
     """

@@ -46,20 +46,14 @@ traffic the way a deployed system would:
 
 from __future__ import annotations
 
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.base import TopKIndex, TopKResult
-from repro.core.dispatch import VALID_KERNELS, get_jit_kernel, select_kernel
-from repro.core.native import (
-    NativeWorkspace,
-    build_info,
-    native_supported,
-    native_walk_lanes,
-)
+from repro.core.base import TopKIndex, TopKResult, as_integer
+from repro.core.dispatch import get_jit_kernel, select_kernel
+from repro.core.native import NativeWorkspace, build_info
 from repro.core.query import (
     BatchWorkspace,
     QueryWorkspace,
@@ -84,29 +78,9 @@ def validate_k(k) -> int:
     results instead of failing.  Shared by the engine, the cluster
     coordinator, and the gateway so every serving entry point enforces the
     same contract.  Strings and booleans (python or numpy) are rejected
-    even when ``float`` would coerce them — ``k="5"`` or ``k=True`` in a
-    request is a caller bug, not a retrieval size.
+    (see :func:`~repro.core.base.as_integer`).
     """
-    if isinstance(k, np.bool_):
-        k = bool(k)  # reported exactly like a python bool
-    if isinstance(k, (str, bytes, bool)):
-        raise InvalidQueryError(
-            f"retrieval size k must be an integer, got {k!r}"
-        )
-    try:
-        value = operator.index(k)  # int and numpy integers
-    except TypeError:
-        try:
-            as_float = float(k)
-        except (TypeError, ValueError) as exc:
-            raise InvalidQueryError(
-                f"retrieval size k must be an integer, got {k!r}"
-            ) from exc
-        if not as_float.is_integer():
-            raise InvalidQueryError(
-                f"retrieval size k must be an integer, got {k!r}"
-            )
-        value = int(as_float)
+    value = as_integer(k, "retrieval size k")
     if value < 1:
         raise InvalidQueryError(f"retrieval size k must be >= 1, got {k}")
     return value
@@ -224,6 +198,9 @@ class ServingLoop:
         else:
             ks = [validate_k(value) for value in ks_input]
         if not n_rows:
+            if matrix.shape[1] != self.d:
+                # The width error a row of this width would raise.
+                normalize_weights(np.ones(matrix.shape[1]), self.d)
             return []
         # Fail fast: every row is validated/normalized before any query runs.
         normalized = normalize_rows(matrix, self.d)
@@ -372,31 +349,20 @@ class QueryEngine(ServingLoop):
         :class:`~repro.serving.cache.ResultCache`).
     latency_window:
         Sliding-window size for latency percentiles.
-    kernel:
-        ``"auto"`` (default) dispatches through
-        :func:`~repro.core.dispatch.select_kernel`, once per query or
-        per :meth:`query_batch` group: the compiled C walker
-        (``"native"``, built on first use; see :mod:`repro.core.native`)
-        for every miss it can serve, at any batch width.  Without it,
-        the lane-parallel :func:`~repro.core.query.process_top_k_batch`
-        serves wide enough cache-miss groups, the per-node
-        :func:`~repro.core.query.process_top_k_reference` small
-        low-dimensional structures (where whole-slice numpy overhead
-        loses to the python loop), and the vectorized
-        :func:`~repro.core.query.process_top_k` everything else.
-        ``"csr"``, ``"reference"``, and ``"batch"`` force one kernel
-        unconditionally.  Every kernel returns bitwise-identical
-        answers, so this switch only changes wall-clock behaviour — it
-        exists for A/B latency measurements (the last full kernel
-        comparison is ``git show 5b80d0f:BENCH_query.json``) and for
-        ruling individual kernels in or out when debugging.
-        ``"native"`` forces the compiled walker and raises
-        :class:`~repro.exceptions.KernelUnavailableError` when it cannot
-        be built (no C toolchain); shapes outside its bitwise contract
-        (d > 7) run the csr kernel instead.  ``auto`` only selects it
-        when it is actually loadable, so a compiler-less host serves
-        every query through the python kernels with one logged warning
-        and no errors.
+
+    Every cache-miss group of a gated layer index is walked by the kernel
+    :func:`~repro.core.dispatch.select_kernel` picks for it: the compiled
+    C walker (built on first use; see :mod:`repro.core.native`) for every
+    miss it can serve, at any batch width.  Without it, the lane-parallel
+    :func:`~repro.core.query.process_top_k_batch` serves wide enough
+    groups, the per-node :func:`~repro.core.query.process_top_k_reference`
+    small low-dimensional structures (where whole-slice numpy overhead
+    loses to the python loop), and the vectorized
+    :func:`~repro.core.query.process_top_k` everything else.  Every
+    kernel returns bitwise-identical answers, so the choice only changes
+    wall-clock time; a compiler-less host serves every query through the
+    python kernels with one logged warning and no errors.
+    ``stats()["kernel_<name>"]`` counts the rows each kernel computed.
     """
 
     def __init__(
@@ -406,19 +372,13 @@ class QueryEngine(ServingLoop):
         cache_size: int = 1024,
         quantize_decimals: int = 12,
         latency_window: int = 4096,
-        kernel: str = "auto",
     ) -> None:
-        if kernel not in VALID_KERNELS:
-            raise InvalidQueryError(
-                f"kernel must be one of {VALID_KERNELS}, got {kernel!r}"
-            )
         if isinstance(index, TopKIndex) and not index._built:
             index.build()
         self.index = index
         # Gated layer indexes are walked by the engine's own kernels;
         # anything else answers each row itself (see _compute).
         self._gated = isinstance(index, TopKIndex)
-        self.kernel = kernel
         # Reusable (n_nodes, B) gate-state scratch for the batch kernel;
         # owned by the engine because the frozen structure is immutable by
         # contract and cannot cache mutable state.
@@ -509,26 +469,17 @@ class QueryEngine(ServingLoop):
                 )
             return outputs
         # Gated layer index: traverse the frozen structure directly with
-        # the resolved kernel (skips re-validation; bitwise the same
-        # answers whichever kernel runs).
-        kernel = self.kernel
-        if kernel == "auto":
-            kernel = select_kernel(structure, batch_width=width)
-        elif kernel == "native" and not native_supported(structure):
-            # Forced native on a shape outside the C walker's bitwise
-            # contract (d > 7): the csr kernel serves it with the
-            # engine's solo workspace.
-            kernel = "csr"
+        # the kernel dispatch picks (skips re-validation; bitwise the
+        # same answers whichever kernel runs).
+        kernel = select_kernel(structure, batch_width=width)
         if kernel == "native":
-            # Compiled walker, built on first demand: get_jit_kernel()
-            # raises a clear KernelUnavailableError for an explicit
-            # request on a host without a toolchain (auto only lands here
-            # when the kernel is loadable).  Every group, one row or many,
-            # crosses into it once.
-            get_jit_kernel()
+            # Every group, one row or many, crosses into the compiled
+            # walker once, through the callable get_jit_kernel returns
+            # (dispatch only lands here when it is loadable).
+            walk = get_jit_kernel()
             results = [
                 TopKResult(ids, scores, AccessCounter(real, pseudo))
-                for ids, scores, real, pseudo in native_walk_lanes(
+                for ids, scores, real, pseudo in walk(
                     structure, lanes, k, workspace=self._native_workspace
                 )
             ]

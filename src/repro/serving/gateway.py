@@ -1,10 +1,12 @@
 """Asyncio serving gateway: dynamic batching over the query engines.
 
-The fused multi-query batch kernel (:mod:`repro.core.query`) pays off most
-when its lanes are full, but production traffic arrives as concurrent
-*single* queries — nobody hands the engine a pre-assembled weight matrix.
-:class:`AsyncGateway` closes that gap: concurrent ``await gateway.query(w,
-k)`` calls are coalesced into batch-kernel lanes under a flush window
+``engine.query_batch`` pays a call's fixed cost once for a whole weight
+matrix (one native crossing per k-group when the compiler is present, the
+lane-parallel batch kernel on hosts without it), but production traffic
+arrives as concurrent *single* queries — nobody hands the engine a
+pre-assembled weight matrix.  :class:`AsyncGateway` closes that gap:
+concurrent ``await gateway.query(w, k)`` calls are coalesced into the rows
+of one ``query_batch`` call under a flush window
 ("flush at B=32 or 2 ms, whichever first"), the way PREFER-style view
 servers and threshold-algorithm pipelines amortize per-request overhead
 across a request stream.
@@ -43,7 +45,7 @@ bump the registry's ``slo_violations`` counter.  :meth:`AsyncGateway.stats`
 reports per-tenant snapshots plus the pooled roll-up
 (:meth:`MetricsRegistry.aggregate` — union percentiles, pooled
 throughput), and gateway-level batch occupancy (mean lanes per flush, the
-figure that shows coalescing actually engages the batch kernel).
+figure that shows coalescing actually fills the engine's batches).
 
 Determinism under test
 ----------------------
@@ -91,7 +93,7 @@ class _Pending:
 
 
 class AsyncGateway:
-    """Coalesce concurrent single-query traffic into batch-kernel lanes.
+    """Coalesce concurrent single-query traffic into ``query_batch`` rows.
 
     Parameters
     ----------
@@ -400,7 +402,7 @@ class AsyncGateway:
         :meth:`MetricsRegistry.aggregate` (union percentiles, pooled
         ``throughput_qps``, summed ``slo_violations``);
         ``batch_occupancy`` is the mean number of lanes per flush — the
-        number that shows coalescing actually engages the batch kernel.
+        number that shows coalescing actually fills the engine's batches.
         """
         batch = self.metrics.as_dict()
         registries = list(self._tenant_metrics.values())

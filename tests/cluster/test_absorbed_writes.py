@@ -3,6 +3,7 @@ rebuilt, the cluster answers bitwise like one whose shards were built from
 scratch on their live rows — ids, score bytes and Definition-9 counts —
 and its cache survives exactly the absorbed writes."""
 
+import contextlib
 import tempfile
 
 import numpy as np
@@ -12,12 +13,20 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterEngine, FailingShard
 from repro.cluster.shard import Shard
-from repro.core import DLIndex, DLPlusIndex
+from repro.core import DLIndex, DLPlusIndex, dispatch
 from repro.core.query import score_rows
 from repro.relation import Relation, normalize_weights
+from tests.conftest import python_kernels
 
 LAYERS = 3
 N0 = 60  # a multiple of every shard count below: id N0 routes to shard 0
+#: Dispatch thresholds that send this file's one-row d=2 shard groups to
+#: each python kernel with the native build masked (reference by default).
+PYTHON_ROUTES = {
+    "reference": {},
+    "csr": {"AUTO_SMALL_STRUCTURE_NODES": 0},
+    "batch": {"AUTO_BATCH_MIN_LANES": 1},
+}
 #: Raw pool weights; (1, 3) scores a tuple one ulp above (0.3, 0.3) the
 #: same as (0.3, 0.3) itself, so a bumped chain end ties the cached k-th.
 POOL = np.array([[1.0, 3.0], [1.0, 1.0], [5.0, 1.0], [2.0, 7.0]])
@@ -49,6 +58,20 @@ CONFIGS = {
         index_class=DLIndex, partitioner="angular", shards=2, snapshot=True
     ),
 }
+
+
+@contextlib.contextmanager
+def served_by(kernel):
+    """Shard engines walk with ``kernel`` (a python one, reached through
+    dispatch with the native build masked) or, for ``None``, with
+    whatever dispatch picks on this host."""
+    if kernel is None:
+        yield
+        return
+    with python_kernels(), pytest.MonkeyPatch.context() as mp:
+        for name, value in PYTHON_ROUTES[kernel].items():
+            mp.setattr(dispatch, name, value)
+        yield
 
 
 def base_relation(shards: int) -> Relation:
@@ -154,9 +177,10 @@ def test_every_write_matches_a_rebuilt_cluster(config, writes):
     options = dict(CONFIGS[config])
     snapshot = options.pop("snapshot", False)
     replicate = options.pop("replicate", False)
+    kernel = options.pop("kernel", None)
     options["index_kwargs"] = {"max_layers": LAYERS}
     relation = base_relation(options["shards"])
-    with tempfile.TemporaryDirectory() as tmp:
+    with served_by(kernel), tempfile.TemporaryDirectory() as tmp:
         cluster = ClusterEngine(
             relation,
             cache_size=64,
@@ -214,6 +238,16 @@ def test_every_write_matches_a_rebuilt_cluster(config, writes):
             check_sweep(cluster, reference, failing, absorbed, step=applied)
         stats = cluster.stats()
         assert stats["writes_absorbed"] + stats["shard_rebuilds"] == applied
+        if kernel is not None:
+            # Every shard walked the last sweep's fresh weight, all with
+            # the kernel this config routes to.
+            for shard in cluster.shards:
+                counts = shard.engine.stats()
+                assert counts[f"kernel_{kernel}"] > 0
+                assert sum(
+                    counts.get(f"kernel_{name}", 0.0)
+                    for name in ("native", "csr", "reference", "batch")
+                ) == counts[f"kernel_{kernel}"]
 
 
 def test_bumped_chain_end_ties_the_cached_kth_and_loses():

@@ -248,21 +248,6 @@ def test_query_batch_failover_and_partial():
         np.testing.assert_array_equal(got.ids, expected.ids)
 
 
-def test_cluster_kernel_knob_propagates_to_shards():
-    relation = generate("IND", 150, 3, seed=59)
-    with pytest.raises(InvalidQueryError):
-        ClusterEngine(relation, shards=2, kernel="simd")
-    reference = ClusterEngine(relation, shards=2, cache_size=0, kernel="reference")
-    default = ClusterEngine(relation, shards=2, cache_size=0)
-    assert all(s.engine.kernel == "reference" for s in reference.shards)
-    assert all(s.engine.kernel == "auto" for s in default.shards)
-    w = np.array([0.3, 0.3, 0.4])
-    a = reference.query(w, 9)
-    b = default.query(w, 9)
-    np.testing.assert_array_equal(a.ids, b.ids)
-    assert a.scores.tobytes() == b.scores.tobytes()
-
-
 # ---------------------------------------------------------------------- #
 # Failover
 # ---------------------------------------------------------------------- #

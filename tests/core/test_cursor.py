@@ -94,6 +94,17 @@ def test_invalid_fetch_size(relation):
     cursor = TopKCursor(index.structure, np.ones(3) / 3)
     with pytest.raises(InvalidQueryError):
         cursor.fetch(-1)
+    # Non-integral sizes used to be served: fetch(2.5) returned 3 tuples
+    # and fetch(True) 1.
+    for bad in (2.5, True, np.True_, "3", None):
+        with pytest.raises(InvalidQueryError, match="fetch size"):
+            cursor.fetch(bad)
+    assert cursor.emitted == 0
+    # Zero, numpy integers and integral floats stay accepted.
+    assert cursor.fetch(np.int64(0))[0].shape == (0,)
+    assert cursor.fetch(np.int32(2))[0].shape == (2,)
+    assert cursor.fetch(2.0)[0].shape == (2,)
+    assert cursor.emitted == 4
 
 
 def test_fetch_zero_is_a_noop(relation):

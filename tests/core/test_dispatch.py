@@ -1,4 +1,4 @@
-"""Auto-kernel dispatch: pin the decision on both sides of each threshold.
+"""Kernel dispatch: pin the decision on both sides of each threshold.
 
 The native compiled kernel, when loadable, wins every cell it supports
 at every batch width, so ``select_kernel`` consults availability first.  The python
@@ -17,7 +17,6 @@ from repro.core.dispatch import (
     AUTO_SMALL_STRUCTURE_NODES,
     NATIVE_DISPATCH_MAX_DIM,
     NATIVE_DISPATCH_MAX_NODES,
-    VALID_KERNELS,
     select_kernel,
 )
 from repro.data import generate
@@ -92,9 +91,8 @@ def test_missing_shape_rejected():
 
 
 def test_valid_kernels_registry(no_native):
-    assert VALID_KERNELS == ("auto", "reference", "csr", "batch", "native")
-    # select_kernel only ever returns concrete runnable kernels — never
-    # "auto".
+    """select_kernel, the one chooser, only ever names the python kernels
+    when the native one cannot load."""
     for n in (100, AUTO_SMALL_STRUCTURE_NODES + 1):
         for d in (2, 4):
             for width in (1, AUTO_BATCH_MIN_LANES):
@@ -177,9 +175,10 @@ def test_jit_slot_guarded(broken_native_build):
 
 def test_jit_kernel_is_the_native_walker():
     """On a host where the C walker loads, get_jit_kernel hands back the
-    native kernel itself — there is no other compiled walker."""
-    from repro.core.native import native_process_top_k, native_ready
+    one native entry, the lane walker the engine crosses through — there
+    is no other compiled walker."""
+    from repro.core.native import native_ready, native_walk_lanes
 
     if not native_ready():
         pytest.skip("native kernel not buildable on this host")
-    assert dispatch.get_jit_kernel() is native_process_top_k
+    assert dispatch.get_jit_kernel() is native_walk_lanes

@@ -9,13 +9,14 @@ Three concerns, matching the kernel's contract:
   per-node reference oracle), both one query at a time and for a whole
   group of lanes in one ``repro_walk_many`` crossing.
 * **Fallback ladder** — on a host without a compiler (or with a broken
-  build), ``kernel="auto"`` must silently serve via the python kernels
-  with exactly one logged warning, while an explicit ``kernel="native"``
-  raises :class:`~repro.exceptions.KernelUnavailableError`.
+  build), the engines must silently serve via the python kernels with
+  exactly one logged warning, while ``get_jit_kernel()`` raises
+  :class:`~repro.exceptions.KernelUnavailableError`.
 * **Cache lifecycle** — the ``.so`` cache key is version+source keyed:
   a version bump must land in a fresh directory and trigger a rebuild.
 """
 
+import copy
 import threading
 
 import numpy as np
@@ -28,13 +29,13 @@ from repro.exceptions import KernelUnavailableError
 from repro.relation import Relation, normalize_weights
 from repro.serving import QueryEngine
 from repro.stats import AccessCounter
+from tests.conftest import python_kernels
 
 native = pytest.importorskip("repro.core.native")
 from repro.core.native import (  # noqa: E402
     NATIVE_MAX_DIM,
     NativeWorkspace,
     build_info,
-    native_process_top_k,
     native_ready,
     native_supported,
     native_walk_lanes,
@@ -57,6 +58,17 @@ def _weights(d: int, seed: int) -> np.ndarray:
     return normalize_weights(rng.dirichlet(np.ones(d)), d)
 
 
+def native_top_k(structure, weights, k, counter, workspace=None):
+    """One lane of :func:`native_walk_lanes` in the ``process_top_k``
+    shape: ``(ids, scores)``, with the counts added to ``counter``."""
+    [(ids, scores, real, pseudo)] = native_walk_lanes(
+        structure, np.asarray(weights)[None, :], k, workspace=workspace
+    )
+    counter.count_real(real)
+    counter.count_pseudo(pseudo)
+    return ids, scores
+
+
 @requires_native
 @pytest.mark.parametrize("family", ["IND", "ANT", "COR"])
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -73,7 +85,7 @@ def test_bitwise_identity_grid(family, d, index_cls, shared_workspace):
     for qi, k in enumerate((1, 5, 23)):
         w = _weights(d, 100 * d + qi)
         nat_counter = AccessCounter()
-        nat_ids, nat_scores = native_process_top_k(
+        nat_ids, nat_scores = native_top_k(
             structure, w, k, nat_counter, workspace=ws
         )
         for kernel in (process_top_k, process_top_k_reference):
@@ -170,27 +182,31 @@ def test_walk_many_widths(n_lanes):
 
 @requires_native
 def test_walk_many_rejects_malformed_calls():
-    """Shapes the C side would misread are refused in python, and d=8 —
-    outside the bitwise contract — still routes to csr: a forced-native
-    ``query_batch`` group and an ``auto`` solo query alike."""
+    """Shapes the C side would misread are refused in python — including
+    a selector seed outside ``[0, n_nodes)`` — and d=8, outside the
+    bitwise contract, routes to the python kernels: a ``query_batch``
+    group to batch and a solo query to csr."""
     structure = _structure("IND", 3, DLIndex)
     w = np.full((2, 3), 1 / 3)
     with pytest.raises(ValueError):
         native_walk_lanes(structure, w[:, :2], 5)  # wrong width
     with pytest.raises(ValueError):
         native_walk_lanes(structure, w, [5, 5, 5])  # one k per lane
-    with pytest.raises(ValueError):
-        native_walk_lanes(structure, w, 5, seeds=[np.array([0]), np.array([10**6])])
+    stray = copy.copy(structure)
+    stray.seed_selector = lambda weights: np.array([0, 10**6])
+    with pytest.raises(ValueError, match="seed ids"):
+        native_walk_lanes(stray, w, 5)
     d = NATIVE_MAX_DIM + 1
     index = DLIndex(generate("IND", 150, d, seed=21)).build()
     with pytest.raises(ValueError):
         native_walk_lanes(index.structure, np.full((1, d), 1 / d), 5)
     assert dispatch.select_kernel(index.structure) == "csr"
-    forced = QueryEngine(index, cache_size=0, kernel="native")
-    forced.query_batch(np.random.default_rng(8).dirichlet(np.ones(d), size=16), 5)
-    forced.query(np.full(d, 1 / d), 5)
-    assert forced.stats()["kernel_csr"] == 17.0
-    assert forced.stats().get("kernel_native", 0.0) == 0.0
+    engine = QueryEngine(index, cache_size=0)
+    engine.query_batch(np.random.default_rng(8).dirichlet(np.ones(d), size=16), 5)
+    engine.query(np.full(d, 1 / d), 5)
+    stats = engine.stats()
+    assert (stats["kernel_batch"], stats["kernel_csr"]) == (16.0, 1.0)
+    assert stats.get("kernel_native", 0.0) == 0.0
 
 
 @requires_native
@@ -203,7 +219,7 @@ def test_full_k_and_overask_match():
     for k in (200, 500):
         c_py, c_nat = AccessCounter(), AccessCounter()
         py = process_top_k(structure, w, k, c_py)
-        nat = native_process_top_k(structure, w, k, c_nat)
+        nat = native_top_k(structure, w, k, c_nat)
         assert nat[0].tobytes() == py[0].tobytes()
         assert nat[1].tobytes() == py[1].tobytes()
         assert (c_nat.real, c_nat.pseudo) == (c_py.real, c_py.pseudo)
@@ -219,13 +235,13 @@ def test_workspace_checkout_reuse_and_rebuild_invalidation():
     ws = NativeWorkspace()
     w = _weights(3, 9)
     for _ in range(4):
-        native_process_top_k(index.structure, w, 10, AccessCounter(), workspace=ws)
+        native_top_k(index.structure, w, 10, AccessCounter(), workspace=ws)
     assert ws.checkouts == 4
     assert ws.fallbacks == 0
     prepared_before = ws._prepared
     index = DLPlusIndex(generate("COR", 300, 3, seed=6)).build()
     c_nat, c_py = AccessCounter(), AccessCounter()
-    nat = native_process_top_k(index.structure, w, 10, c_nat, workspace=ws)
+    nat = native_top_k(index.structure, w, 10, c_nat, workspace=ws)
     py = process_top_k(index.structure, w, 10, c_py)
     assert ws._prepared is not prepared_before
     assert nat[0].tobytes() == py[0].tobytes()
@@ -243,7 +259,7 @@ def test_workspace_contention_falls_back_to_private_buffers():
     expected = process_top_k(structure, w, 5, AccessCounter())
     assert ws._lock.acquire(blocking=False)
     try:
-        got = native_process_top_k(structure, w, 5, AccessCounter(), workspace=ws)
+        got = native_top_k(structure, w, 5, AccessCounter(), workspace=ws)
     finally:
         ws._lock.release()
     assert ws.fallbacks == 1
@@ -266,7 +282,7 @@ def test_concurrent_native_queries_bitwise():
     results: list = [None] * len(queries)
 
     def worker(i: int) -> None:
-        results[i] = native_process_top_k(
+        results[i] = native_top_k(
             structure, queries[i], 8, AccessCounter(), workspace=ws
         )
 
@@ -283,54 +299,31 @@ def test_concurrent_native_queries_bitwise():
 
 def test_high_dimension_delegates_to_python():
     """d > NATIVE_MAX_DIM is outside the bitwise contract (einsum changes
-    its reduction tree at d=8): the wrapper must delegate, not guess."""
+    its reduction tree at d=8): dispatch must hand it to the python
+    kernels, not guess, and the engine answers bitwise like csr."""
     d = NATIVE_MAX_DIM + 1
     relation = generate("IND", 150, d, seed=21)
-    structure = DLIndex(relation).build().structure
-    assert not native_supported(structure)
+    index = DLIndex(relation).build()
+    assert not native_supported(index.structure)
+    assert dispatch.select_kernel(index.structure) == "csr"
     w = _weights(d, 3)
-    c_py, c_nat = AccessCounter(), AccessCounter()
-    py = process_top_k(structure, w, 5, c_py)
-    nat = native_process_top_k(structure, w, 5, c_nat)
-    assert nat[0].tobytes() == py[0].tobytes()
-    assert nat[1].tobytes() == py[1].tobytes()
-    assert (c_nat.real, c_nat.pseudo) == (c_py.real, c_py.pseudo)
-
-
-@requires_native
-def test_trace_hook_delegates_to_python():
-    """A counter with a per-access trace hook needs the python walk's
-    access order — the native wrapper must hand the query over."""
-    relation = generate("IND", 200, 3, seed=23)
-    structure = DLPlusIndex(relation).build().structure
-
-    class TracingCounter(AccessCounter):
-        __slots__ = ("trace",)
-
-        def __init__(self):
-            super().__init__()
-            self.trace = []
-
-        def count_real_tuple(self, node_id):
-            # The kernel counts via count_real separately; the hook only
-            # observes per-access order (see test_trace_hook_is_additive).
-            self.trace.append(int(node_id))
-
-    w = _weights(3, 31)
-    traced = TracingCounter()
-    nat = native_process_top_k(structure, w, 5, traced)
-    plain = AccessCounter()
-    py = process_top_k(structure, w, 5, plain)
-    assert nat[0].tobytes() == py[0].tobytes()
-    assert len(traced.trace) == traced.real == plain.real
+    c_py = AccessCounter()
+    py = process_top_k(index.structure, w, 5, c_py)
+    engine = QueryEngine(index, cache_size=0)
+    got = engine.query(w, 5)
+    assert got.ids.tobytes() == py[0].tobytes()
+    assert got.scores.tobytes() == py[1].tobytes()
+    assert (got.counter.real, got.counter.pseudo) == (c_py.real, c_py.pseudo)
+    assert engine.stats()["kernel_csr"] == 1.0
 
 
 def test_no_compiler_fallback_matrix(
     isolated_native_state, monkeypatch, tmp_path, caplog
 ):
-    """Compiler-less host: auto never selects native, serves correct
-    answers via the python kernels with exactly one warning; explicit
-    native raises KernelUnavailableError naming the remedy."""
+    """Compiler-less host: dispatch never selects native, the engine
+    serves correct answers via the python kernels with exactly one
+    warning; get_jit_kernel raises KernelUnavailableError naming the
+    remedy."""
     monkeypatch.setenv("REPRO_NATIVE_CC", "none")
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
     with caplog.at_level("WARNING", logger="repro.core.native.kernel"):
@@ -341,13 +334,13 @@ def test_no_compiler_fallback_matrix(
     info = native_kernel_mod.build_info()
     assert info["status"] == "failed"
     assert "no C compiler" in info["detail"]
-    # auto dispatch: never native, python crossovers intact
+    # dispatch: never native, python crossovers intact
     assert dispatch.select_kernel(n_nodes=10**6, d=4) == "csr"
     assert dispatch.select_kernel(n_nodes=1000, d=2) == "reference"
-    # explicit native: actionable error
+    # a direct request for the compiled walker: actionable error
     with pytest.raises(KernelUnavailableError, match="no compiled walk kernel"):
         dispatch.get_jit_kernel()
-    # end-to-end: an auto engine still answers correctly
+    # end-to-end: an engine still answers correctly
     relation = generate("IND", 300, 3, seed=40)
     index = DLPlusIndex(relation).build()
     engine = QueryEngine(index, cache_size=0)
@@ -362,15 +355,13 @@ def test_no_compiler_fallback_matrix(
     assert stats["native_fallback"] == 1.0
     assert stats["native_built"] == 0.0 and stats["native_cached"] == 0.0
     assert stats.get("kernel_native", 0.0) == 0.0
-    # an explicit-native engine surfaces the same error at query time
-    strict = QueryEngine(index, cache_size=0, kernel="native")
-    with pytest.raises(KernelUnavailableError):
-        strict.query(w, 5)
+    assert stats["kernel_csr"] == 1.0
 
 
 def test_build_failure_fallback(broken_native_build):
     """A compile that *fails* (not just a missing compiler) walks the
-    same ladder: auto falls back, explicit raises, status is failed."""
+    same ladder: dispatch falls back, get_jit_kernel raises, status is
+    failed."""
     assert native_kernel_mod.native_ready() is False
     assert not dispatch.native_kernel_usable(1000, 4)
     assert dispatch.select_kernel(n_nodes=10**6, d=4) == "csr"
@@ -404,59 +395,81 @@ def test_version_bump_invalidates_cached_library(monkeypatch, tmp_path):
 
 @requires_native
 def test_engine_native_end_to_end_and_kernel_counters():
-    """kernel='native' engines answer bitwise like a reference engine,
-    and the dispatch counters attribute each query to its kernel."""
+    """An engine on a native host answers bitwise like the reference
+    kernel, solo and batched, and the dispatch counters attribute each
+    row to its kernel: native here, csr and batch on the same engine
+    shape with the build masked."""
     relation = generate("COR", 400, 3, seed=17)
     index = DLPlusIndex(relation).build()
-    native_engine = QueryEngine(index, cache_size=0, kernel="native")
-    ref_engine = QueryEngine(index, cache_size=0, kernel="reference")
-    csr_engine = QueryEngine(index, cache_size=0, kernel="csr")
-    for i in range(3):
-        w = np.asarray(_weights(3, 300 + i))
-        got = native_engine.query(w, 7)
-        ref = ref_engine.query(w, 7)
-        assert got.ids.tobytes() == ref.ids.tobytes()
-        assert got.scores.tobytes() == ref.scores.tobytes()
-        csr_engine.query(w, 7)
+    native_engine = QueryEngine(index, cache_size=0)
+    solo = [np.asarray(_weights(3, 300 + i)) for i in range(3)]
+    ws = np.stack([np.asarray(_weights(3, 400 + i)) for i in range(8)])
+    got = [native_engine.query(w, 7) for w in solo]
+    got += native_engine.query_batch(ws, 7)
+    for w, result in zip([*solo, *ws], got):
+        counter = AccessCounter()
+        ids, scores = process_top_k_reference(
+            index.structure, normalize_weights(w, 3), 7, counter
+        )
+        assert result.ids.tobytes() == ids.tobytes()
+        assert result.scores.tobytes() == scores.tobytes()
+        assert (result.counter.real, result.counter.pseudo) == (
+            counter.real,
+            counter.pseudo,
+        )
     stats = native_engine.stats()
-    assert stats["kernel_native"] == 3.0
+    assert stats["kernel_native"] == 11.0
     assert stats["native_built"] + stats["native_cached"] == 1.0
     assert stats["native_fallback"] == 0.0
-    assert stats["native_workspace_checkouts"] == 3.0
-    assert ref_engine.stats()["kernel_reference"] == 3.0
-    assert csr_engine.stats()["kernel_csr"] == 3.0
-    # the fused batch path counts all lanes of a group in one record
-    batch_engine = QueryEngine(index, cache_size=0, kernel="batch")
-    ws = np.stack([np.asarray(_weights(3, 400 + i)) for i in range(8)])
-    batch_engine.query_batch(ws, 5)
-    assert batch_engine.stats()["kernel_batch"] == 8.0
-    # a pinned-csr engine attributes batch rows to csr, one per row
-    csr_engine.query_batch(ws, 5)
-    assert csr_engine.stats()["kernel_csr"] == 3.0 + 8.0
+    # one crossing per solo query and one for the 8-row group
+    assert stats["native_workspace_checkouts"] == 4.0
+    with python_kernels():
+        python_engine = QueryEngine(index, cache_size=0)
+        for w, expected in zip(solo, got):
+            again = python_engine.query(w, 7)
+            assert again.ids.tobytes() == expected.ids.tobytes()
+            assert again.scores.tobytes() == expected.scores.tobytes()
+        python_engine.query_batch(ws, 7)
+    python_stats = python_engine.stats()
+    assert python_stats["kernel_csr"] == 3.0
+    assert python_stats["kernel_batch"] == 8.0
+    assert python_stats.get("kernel_native", 0.0) == 0.0
     # aggregate rolls the per-kernel counters up across registries
     merged = type(native_engine.metrics).aggregate(
-        [native_engine.metrics, csr_engine.metrics, batch_engine.metrics]
+        [native_engine.metrics, python_engine.metrics]
     )
-    assert merged["kernel_native"] == 3.0
-    assert merged["kernel_csr"] == 11.0
+    assert merged["kernel_native"] == 11.0
+    assert merged["kernel_csr"] == 3.0
     assert merged["kernel_batch"] == 8.0
 
 
 @requires_native
 def test_cluster_engine_accepts_native_kernel():
-    """The cluster passes kernel= through to every shard engine; a
-    native cluster answers bitwise like an auto (python-pinned) one."""
+    """Every shard engine of a naive-merge cluster walks natively where
+    the C walker loads, and the cluster answers bitwise like one whose
+    shards serve through the python kernels.  (The threshold merge walks
+    shard cursors, not the shard engines.)"""
     from repro.cluster import ClusterEngine
 
     relation = generate("IND", 600, 3, seed=25)
-    native_cluster = ClusterEngine(relation, shards=2, kernel="native")
-    csr_cluster = ClusterEngine(relation, shards=2, kernel="csr")
-    for i in range(3):
-        w = np.asarray(_weights(3, 500 + i))
-        got = native_cluster.query(w, 7)
-        exp = csr_cluster.query(w, 7)
+    native_cluster = ClusterEngine(relation, shards=2, merge="naive")
+    with python_kernels():
+        python_cluster = ClusterEngine(relation, shards=2, merge="naive")
+        expected = [
+            python_cluster.query(np.asarray(_weights(3, 500 + i)), 7)
+            for i in range(3)
+        ]
+    for i, exp in enumerate(expected):
+        got = native_cluster.query(np.asarray(_weights(3, 500 + i)), 7)
         np.testing.assert_array_equal(got.ids, exp.ids)
         assert got.scores.tobytes() == exp.scores.tobytes()
+        assert got.shard_costs == exp.shard_costs
+    for shard in native_cluster.shards:
+        stats = shard.engine.stats()
+        assert stats["kernel_native"] > 0
+        assert stats.get("kernel_csr", 0.0) == 0.0
+    for shard in python_cluster.shards:
+        assert shard.engine.stats().get("kernel_native", 0.0) == 0.0
 
 
 @requires_native
@@ -494,7 +507,7 @@ def test_native_holds_its_speedup_floor_over_csr():
         )
 
     def nat(w):
-        return native_process_top_k(
+        return native_top_k(
             structure, w, 10, AccessCounter(), workspace=native_workspace
         )
 

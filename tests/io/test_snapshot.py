@@ -23,7 +23,7 @@ from repro.io.snapshot import (
     read_manifest,
 )
 from repro.stats import AccessCounter
-from tests.conftest import served_kernels
+from tests.conftest import served_kernels, walk_with
 
 
 def assert_same_answers(structure_a, structure_b, d, *, queries=8, seed=0):
@@ -367,13 +367,11 @@ def test_open_rejects_short_per_node_array(snapshot_dir, tmp_path):
 def test_open_rejects_a_nan_value_every_kernel_would_drop(kernel, tmp_path):
     """A NaN in a value row used to open cleanly; every kernel then left
     its tuple out of the answer ([121, 50, 275] here) with no error."""
-    from repro.serving import QueryEngine
-
     index = DLPlusIndex(generate("IND", 300, 3, seed=0)).build()
     root = save_snapshot(index, tmp_path / "snap")
-    w = np.array([0.3, 0.3, 0.4])
-    engine = QueryEngine(open_snapshot(root), cache_size=0, kernel=kernel)
-    np.testing.assert_array_equal(engine.query(w, 3).ids, [259, 121, 50])
+    w = np.array([[0.3, 0.3, 0.4]])
+    [(ids, *_)] = walk_with(kernel, open_snapshot(root).structure, w, 3)
+    np.testing.assert_array_equal(ids, [259, 121, 50])
 
     _poke(root, "values", 259 * 3, np.nan)
     with pytest.raises(SerializationError, match="values"):
@@ -401,7 +399,7 @@ try:
 except SerializationError as exc:
     print("rejected:", exc)
 else:
-    engine = QueryEngine(snap, cache_size=0, kernel="native")
+    engine = QueryEngine(snap, cache_size=0)
     engine.query(np.array([0.2, 0.5, 0.3]), 10)
     print("served")
 """
@@ -513,6 +511,7 @@ def _fixture_index():
 
 
 def _assert_old_snapshot_answers_bitwise(root):
+    from repro.relation import normalize_weights
     from repro.serving import QueryEngine
 
     snap = open_snapshot(root)
@@ -524,17 +523,24 @@ def _assert_old_snapshot_answers_bitwise(root):
     rng = np.random.default_rng(5)
     weights = rng.dirichlet(np.ones(3), size=12)
     ks = rng.integers(1, 5, size=12)
+    normalized = np.stack([normalize_weights(w, 3) for w in weights])
     for kernel in served_kernels():
-        old = QueryEngine(snap, cache_size=0, kernel=kernel)
-        new = QueryEngine(index, cache_size=0, kernel=kernel)
-        batch = old.query_batch(weights, ks)
-        for row, (w, k) in enumerate(zip(weights, ks.tolist())):
-            a, b = old.query(w, k), new.query(w, k)
-            assert a.ids.tobytes() == b.ids.tobytes(), (kernel, row)
-            assert a.scores.tobytes() == b.scores.tobytes(), (kernel, row)
-            assert a.cost == b.cost, (kernel, row)
-            assert batch[row].ids.tobytes() == b.ids.tobytes(), (kernel, row)
-            assert batch[row].scores.tobytes() == b.scores.tobytes()
+        old = walk_with(kernel, snap.structure, normalized, ks)
+        new = walk_with(kernel, index.structure, normalized, ks)
+        for row, (a, b) in enumerate(zip(old, new)):
+            assert a[0].tobytes() == b[0].tobytes(), (kernel, row)
+            assert a[1].tobytes() == b[1].tobytes(), (kernel, row)
+            assert a[2:] == b[2:], (kernel, row)
+    # The engine over the snapshot, scalar and batched, answers alike.
+    old, new = QueryEngine(snap, cache_size=0), QueryEngine(index, cache_size=0)
+    batch = old.query_batch(weights, ks)
+    for row, (w, k) in enumerate(zip(weights, ks.tolist())):
+        a, b = old.query(w, k), new.query(w, k)
+        assert a.ids.tobytes() == b.ids.tobytes(), row
+        assert a.scores.tobytes() == b.scores.tobytes(), row
+        assert a.cost == b.cost, row
+        assert batch[row].ids.tobytes() == b.ids.tobytes(), row
+        assert batch[row].scores.tobytes() == b.scores.tobytes(), row
 
 
 @pytest.mark.parametrize("version", [1, 2])

@@ -6,8 +6,8 @@ from a per-query :func:`~repro.core.query.process_top_k` call — same ids,
 byte-identical scores, ascending order, and the same Definition 9
 real/pseudo counts per lane — across the full equivalence grid, with
 duplicate-tuple tie-breaks, with lanes finishing at wildly different times
-(k=1 next to k=50), under a ``fetch_real`` storage override, and with a
-reused :class:`~repro.core.query.BatchWorkspace`.
+(k=1 next to k=50), and with a reused
+:class:`~repro.core.query.BatchWorkspace`.
 """
 
 import numpy as np
@@ -18,13 +18,14 @@ from repro.core.query import BatchWorkspace, process_top_k, process_top_k_batch
 from repro.data import generate
 from repro.relation import Relation
 from repro.stats import AccessCounter
+from tests.conftest import python_kernels
 
 
 def _seed_for(distribution: str, d: int) -> int:
     return sum(map(ord, distribution)) * 10 + d  # deterministic across runs
 
 
-def assert_batch_agrees(structure, weights_matrix, ks, *, fetch_real=None, workspace=None):
+def assert_batch_agrees(structure, weights_matrix, ks, *, workspace=None):
     """Run the batch kernel; assert every lane matches per-query csr bitwise."""
     weights_matrix = np.asarray(weights_matrix, dtype=np.float64)
     n_lanes = weights_matrix.shape[0]
@@ -34,18 +35,13 @@ def assert_batch_agrees(structure, weights_matrix, ks, *, fetch_real=None, works
         weights_matrix,
         ks,
         batch_counters,
-        fetch_real=fetch_real,
         workspace=workspace,
     )
     ks_arr = np.broadcast_to(np.asarray(ks, dtype=np.int64), (n_lanes,))
     for lane in range(n_lanes):
         counter = AccessCounter()
         ids, scores = process_top_k(
-            structure,
-            weights_matrix[lane],
-            int(ks_arr[lane]),
-            counter,
-            fetch_real=fetch_real,
+            structure, weights_matrix[lane], int(ks_arr[lane]), counter
         )
         batch_ids, batch_scores = outputs[lane]
         assert np.array_equal(ids, batch_ids), f"lane {lane} ids diverge"
@@ -101,24 +97,6 @@ def test_batch_duplicate_tuple_tie_breaks():
         assert_batch_agrees(structure, weights, 25)
 
 
-def test_batch_with_fetch_real():
-    """Storage-backed lanes: real tuples come from ``fetch_real``, pseudo
-    tuples from the structure — per-lane parity must survive."""
-    relation = generate("IND", 300, 3, seed=9)
-    structure = DLPlusIndex(relation).build().structure
-    heap_file = relation.matrix.copy()
-    fetches: list[int] = []
-
-    def fetch_real(node: int) -> np.ndarray:
-        fetches.append(node)
-        return heap_file[node]
-
-    rng = np.random.default_rng(10)
-    weights = rng.dirichlet(np.ones(3), size=7)
-    assert_batch_agrees(structure, weights, 12, fetch_real=fetch_real)
-    assert fetches  # the override was actually exercised
-
-
 def test_batch_workspace_reuse_and_growth():
     """A workspace checked out at one width must serve narrower and wider
     batches (and a different structure) without contaminating state."""
@@ -147,10 +125,11 @@ def test_batch_validates_inputs():
 
 
 def test_auto_query_batch_walks_native_lanes():
-    """On a host where the C walker loads, an ``auto`` ``query_batch`` of
-    64 rows walks every lane natively — none through the batch kernel —
-    and stays bitwise equal to a forced batch-kernel engine and to the
-    per-node reference kernel (ids, score bytes, real/pseudo counts)."""
+    """On a host where the C walker loads, a ``query_batch`` of 64 rows
+    walks every lane natively — none through the batch kernel — and stays
+    bitwise equal to the batch kernel an engine walks with the native
+    build masked, and to the per-node reference kernel (ids, score bytes,
+    real/pseudo counts)."""
     from repro.core.native import native_ready
     from repro.core.query import process_top_k_reference
     from repro.relation import normalize_weights
@@ -162,9 +141,10 @@ def test_auto_query_batch_walks_native_lanes():
     index = DLPlusIndex(relation).build()
     weights = np.random.default_rng(64).dirichlet(np.ones(4), size=64)
     auto = QueryEngine(index, cache_size=0)
-    batch = QueryEngine(index, cache_size=0, kernel="batch")
     got = auto.query_batch(weights, 12)
-    fused = batch.query_batch(weights, 12)
+    with python_kernels():
+        batch = QueryEngine(index, cache_size=0)
+        fused = batch.query_batch(weights, 12)
     stats = auto.stats()
     assert stats["kernel_native"] == 64.0
     assert stats.get("kernel_batch", 0.0) == 0.0

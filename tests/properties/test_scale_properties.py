@@ -15,10 +15,9 @@ import pytest
 
 from repro.analytics.oracle import oracle_top_k
 from repro.core import DLIndex, DLPlusIndex
-from repro.core.query import process_top_k, process_top_k_batch, process_top_k_reference
 from repro.data import generate
 from repro.relation import Relation, normalize_weights
-from repro.stats import AccessCounter
+from tests.conftest import served_kernels, walk_with
 from tests.structure_check import assert_structure_sound
 
 N, LAYERS, K, QUERIES = 500, 10, 10, 20
@@ -27,17 +26,6 @@ ARRAYS = (
     "forall_parent_count", "forall_indptr", "forall_indices", "exists_gated",
     "exists_indptr", "exists_indices", "static_seeds", "coarse_levels", "fine_levels",
 )
-
-
-def _kernels():
-    kernels = {"reference": process_top_k_reference, "csr": process_top_k}
-    try:
-        from repro.core.native import native_process_top_k, native_ready
-    except ImportError:
-        return kernels
-    if native_ready():
-        kernels["native"] = native_process_top_k
-    return kernels
 
 
 @lru_cache(maxsize=None)
@@ -64,12 +52,7 @@ def test_scaled_builds_answer_exactly(distribution, d, index_name, exponent):
     # bits (normalising a normalised vector again can change them).
     weights = [normalize_weights(rng.dirichlet(np.ones(d)), d) for _ in range(QUERIES)]
     expected = [oracle_top_k(relation.matrix, w, K)[0] for w in weights]
-    for name, kernel in _kernels().items():
-        for w, ids in zip(weights, expected):
-            got, _ = kernel(structure, w, K, AccessCounter())
-            assert np.array_equal(got, ids), name
-    batch = process_top_k_batch(
-        structure, np.vstack(weights), K, [AccessCounter() for _ in weights]
-    )
-    for (got, _), ids in zip(batch, expected):
-        assert np.array_equal(got, ids), "batch"
+    for kernel in served_kernels():
+        answers = walk_with(kernel, structure, np.vstack(weights), K)
+        for (got, *_), ids in zip(answers, expected):
+            assert np.array_equal(got, ids), kernel

@@ -12,7 +12,7 @@ from repro.exceptions import InvalidQueryError, InvalidWeightError
 from repro.relation import normalize_weights, top_k_bruteforce
 from repro.serving import QueryEngine
 from repro.stats import AccessCounter
-from tests.conftest import served_kernels
+from tests.conftest import KERNEL_ROUTES
 
 
 def random_weights(rng, d: int, count: int) -> np.ndarray:
@@ -207,28 +207,37 @@ def test_query_batch_per_row_k():
         engine.query_batch(weights, [5] * 11 + [0])  # invalid row k
 
 
-@pytest.mark.parametrize("kernel", ["auto", "batch", "reference"])
-def test_query_batch_kernels_byte_identical(kernel):
-    """Every kernel choice (incl. the fused batch kernel and auto
-    dispatch) serves byte-identical batches to the default engine."""
+@pytest.mark.parametrize(
+    "kernel,d,rows",
+    [("auto", 4, 16), ("batch", 4, 16), ("reference", 2, 6)],
+    ids=["auto", "batch", "reference"],
+)
+def test_query_batch_kernels_byte_identical(kernel, d, rows, request):
+    """Whichever kernel dispatch picks for a group — auto on this host,
+    the fused batch kernel, or the per-node reference kernel with the
+    native build masked — a batch and a single query are byte-identical
+    to the csr kernel called directly, counts included."""
+    if kernel != "auto":
+        request.getfixturevalue("broken_native_build")
     rng = np.random.default_rng(37)
-    relation = generate("IND", 350, 4, seed=37)
+    relation = generate("IND", 350, d, seed=37)
     index = DLPlusIndex(relation).build()
-    baseline = QueryEngine(index, cache_size=0, kernel="csr")
-    engine = QueryEngine(index, cache_size=0, kernel=kernel)
-    weights = random_weights(rng, 4, 16)
-    expected = baseline.query_batch(weights, 9)
+    engine = QueryEngine(index, cache_size=0)
+    weights = random_weights(rng, d, rows)
     got = engine.query_batch(weights, 9)
-    for a, b in zip(got, expected):
-        assert a.ids.tobytes() == b.ids.tobytes()
-        assert a.scores.tobytes() == b.scores.tobytes()
-        assert a.cost == b.cost
-    # Single queries agree too (auto dispatches per-query kernels there).
-    w = rng.dirichlet(np.ones(4))
-    a = engine.query(w, 6)
-    b = baseline.query(w, 6)
-    assert a.ids.tobytes() == b.ids.tobytes()
-    assert a.scores.tobytes() == b.scores.tobytes()
+    w = rng.dirichlet(np.ones(d))
+    got.append(engine.query(w, 6))
+    expected_ks = [9] * rows + [6]
+    for raw, k, result in zip([*weights, w], expected_ks, got):
+        counter = AccessCounter()
+        ids, scores = process_top_k(
+            index.structure, normalize_weights(raw, d), k, counter
+        )
+        assert result.ids.tobytes() == ids.tobytes()
+        assert result.scores.tobytes() == scores.tobytes()
+        assert result.cost == counter.total
+    if kernel != "auto":
+        assert engine.stats()[f"kernel_{kernel}"] >= rows
 
 
 def test_query_batch_records_batch_metrics():
@@ -312,26 +321,60 @@ def test_boolean_k_rejected_everywhere():
     assert engine.metrics.queries == 0
 
 
-@pytest.mark.parametrize("kernel", served_kernels())
-def test_kernel_counter_skips_a_row_that_raised(kernel):
-    """``kernel_<name>`` counts computed rows: a query past an
-    incomplete index's capacity (k > max_layers) raises and leaves every
-    kernel counter at 0, while ``queries`` and ``cache_misses`` still
-    count the failed call."""
+def test_kernel_counter_skips_a_row_that_raised(served_kernel):
+    """``kernel_<name>`` counts computed rows: a group past an incomplete
+    index's capacity (k > max_layers) raises and leaves every kernel
+    counter at 0, while ``queries`` and ``cache_misses`` still count the
+    failed call."""
     from repro.exceptions import IndexCapacityError
 
-    relation = generate("IND", 300, 3, seed=49)
+    d, rows = KERNEL_ROUTES[served_kernel]
+    relation = generate("IND", 300, d, seed=49)
     index = DLPlusIndex(relation, max_layers=4).build()
-    engine = QueryEngine(index, cache_size=0, kernel=kernel)
+    engine = QueryEngine(index, cache_size=0)
+    weights = random_weights(np.random.default_rng(49), d, rows)
     with pytest.raises(IndexCapacityError):
-        engine.query(np.array([0.3, 0.3, 0.4]), 5)
+        engine.query_batch(weights, 5)
     stats = engine.stats()
     for name in ("native", "csr", "reference", "batch"):
         assert stats.get(f"kernel_{name}", 0.0) == 0.0, name
     assert stats["queries"] == 1.0
     assert stats["cache_misses"] == 1.0
-    engine.query(np.array([0.3, 0.3, 0.4]), 4)
-    assert engine.stats()[f"kernel_{kernel}"] == 1.0
+    engine.query_batch(weights, 4)
+    assert engine.stats()[f"kernel_{served_kernel}"] == rows
+
+
+def test_engine_kernel_selector(broken_native_build):
+    """The engine's kernel selector is dispatch alone.  With the native
+    build masked it walks a wide ``query_batch`` group with the batch
+    kernel, a d=3 solo query with csr and a small d=2 query with the
+    reference kernel; each is counted under its kernel and is bitwise
+    the reference kernel's answer, Definition-9 counts included."""
+    rng = np.random.default_rng(23)
+    for kernel in ("batch", "csr", "reference"):
+        d, rows = KERNEL_ROUTES[kernel]
+        index = DLPlusIndex(generate("ANT", 400, d, seed=23 + d)).build()
+        engine = QueryEngine(index, cache_size=0)
+        weights = random_weights(rng, d, rows)
+        if rows == 1:
+            results = [engine.query(weights[0], 10)]
+        else:
+            results = engine.query_batch(weights, 10)
+        for w, result in zip(weights, results):
+            counter = AccessCounter()
+            ids, scores = process_top_k_reference(
+                index.structure, normalize_weights(w, d), 10, counter
+            )
+            assert result.ids.tobytes() == ids.tobytes(), kernel
+            assert result.scores.tobytes() == scores.tobytes(), kernel
+            assert (result.counter.real, result.counter.pseudo) == (
+                counter.real,
+                counter.pseudo,
+            ), kernel
+        stats = engine.stats()
+        for name in ("native", "csr", "reference", "batch"):
+            expected = float(rows) if name == kernel else 0.0
+            assert stats.get(f"kernel_{name}", 0.0) == expected, (kernel, name)
 
 
 def test_query_batch_concurrent_deferred_duplicates():
@@ -376,37 +419,17 @@ def test_query_batch_concurrent_deferred_duplicates():
     assert metrics.cache_hits >= metrics.queries // 2
 
 
-def test_engine_kernel_selector():
-    """The reference-kernel engine serves byte-identical answers to the
-    default CSR engine; an unknown kernel name is rejected."""
-    relation = generate("IND", 400, 3, seed=21)
-    index = DLPlusIndex(relation).build()
-    csr = QueryEngine(index, cache_size=0)
-    ref = QueryEngine(index, cache_size=0, kernel="reference")
-    rng = np.random.default_rng(22)
-    for _ in range(5):
-        w = rng.dirichlet(np.ones(3))
-        a = csr.query(w, 10)
-        b = ref.query(w, 10)
-        np.testing.assert_array_equal(a.ids, b.ids)
-        assert a.scores.tobytes() == b.scores.tobytes()
-        assert a.cost == b.cost
-    for bogus in ("simd", "jit"):
-        with pytest.raises(InvalidQueryError):
-            QueryEngine(index, kernel=bogus)
-
-
-def test_query_many_concurrent_bitwise_and_workspace_counted():
+def test_query_many_concurrent_bitwise_and_workspace_counted(broken_native_build):
     """Concurrent query_many threads hammering one engine (and its shared
     QueryWorkspace) return exactly the sequential answers; every uncached
     solo query either checked the workspace out or was counted as a
-    contention fallback.  (kernel="csr" pins the python solo kernel —
-    auto dispatches to the native kernel where available, whose
-    workspace has its own counters and test.)"""
+    contention fallback.  (The masked native build sends d=4 solo
+    queries to the python csr kernel; the native workspace has its own
+    counters and test.)"""
     relation = generate("IND", 600, 4, seed=29)
     index = DLPlusIndex(relation).build()
-    sequential = QueryEngine(index, cache_size=0, kernel="csr")
-    concurrent = QueryEngine(index, cache_size=0, kernel="csr")
+    sequential = QueryEngine(index, cache_size=0)
+    concurrent = QueryEngine(index, cache_size=0)
     rng = np.random.default_rng(30)
     queries = [(rng.dirichlet(np.ones(4)), int(rng.integers(1, 21))) for _ in range(24)]
     expected = [sequential.query(w, k) for w, k in queries]
@@ -416,17 +439,19 @@ def test_query_many_concurrent_bitwise_and_workspace_counted():
         assert a.scores.tobytes() == b.scores.tobytes()
         assert a.cost == b.cost
     stats = concurrent.stats()
+    assert stats["kernel_csr"] == len(queries)
     assert stats["workspace_checkouts"] + stats["workspace_fallbacks"] == len(queries)
 
 
-def test_workspace_contention_fallback_counted_in_stats():
+def test_workspace_contention_fallback_counted_in_stats(broken_native_build):
     """A query arriving while the solo workspace is held falls back to a
     fresh allocation — same bits, and the fallback shows in stats().
-    (kernel="csr" pins the python solo kernel; the native workspace has
-    an equivalent test in tests/core/test_native_kernel.py.)"""
+    (The masked native build sends d=3 solo queries to the python csr
+    kernel; the native workspace has an equivalent test in
+    tests/core/test_native_kernel.py.)"""
     relation = generate("ANT", 400, 3, seed=31)
     index = DLPlusIndex(relation).build()
-    engine = QueryEngine(index, cache_size=0, kernel="csr")
+    engine = QueryEngine(index, cache_size=0)
     w = np.array([0.3, 0.4, 0.3])
     baseline = engine.query(w, 7)
     assert engine.stats()["workspace_fallbacks"] == 0.0
@@ -438,57 +463,62 @@ def test_workspace_contention_fallback_counted_in_stats():
     np.testing.assert_array_equal(baseline.ids, contended.ids)
     assert baseline.scores.tobytes() == contended.scores.tobytes()
     assert engine.stats()["workspace_fallbacks"] == 1.0
+    assert engine.stats()["kernel_csr"] == 2.0
 
 
 def test_native_kernel_guarded_in_engine(broken_native_build):
-    """kernel="native" is accepted at construction but raises
-    KernelUnavailableError at query time when the native loader cannot
-    build the C walker; the message names the actual remedy (C
-    toolchain / native build), and an auto engine on the same index
-    serves the query through the python kernels instead."""
-    from repro.exceptions import KernelUnavailableError
+    """When the native loader cannot build the C walker,
+    ``get_jit_kernel`` raises KernelUnavailableError naming the actual
+    remedy (C toolchain / native build), while an engine on the same
+    index never reaches it: every query is served through the python
+    kernels.  A call that raises counts as one failed query, not one per
+    row."""
+    from repro.core.dispatch import get_jit_kernel
+    from repro.exceptions import IndexCapacityError, KernelUnavailableError
 
-    relation = generate("IND", 300, 3, seed=33)
-    index = DLPlusIndex(relation).build()
-    engine = QueryEngine(index, cache_size=0, kernel="native")
-    w = np.array([0.2, 0.5, 0.3])
     with pytest.raises(
         KernelUnavailableError, match="no compiled walk kernel"
     ) as info:
-        engine.query(w, 5)
+        get_jit_kernel()
     assert "C toolchain" in str(info.value)
-    with pytest.raises(KernelUnavailableError):
-        engine.query_batch(np.stack([w, np.array([0.1, 0.6, 0.3])]), 5)
+
+    relation = generate("IND", 300, 3, seed=33)
+    index = DLPlusIndex(relation).build()
+    engine = QueryEngine(index, cache_size=0)
+    w = np.array([0.2, 0.5, 0.3])
+    result = engine.query(w, 5)
+    ids, scores = process_top_k(
+        index.structure, normalize_weights(w, 3), 5, AccessCounter()
+    )
+    np.testing.assert_array_equal(result.ids, ids)
+    assert result.scores.tobytes() == scores.tobytes()
     assert engine.stats().get("kernel_native", 0.0) == 0.0
-    # Each failed call counts as one failed query, not one per row: the
-    # two-row batch served nothing.
-    stats = engine.stats()
+    assert engine.stats()["kernel_csr"] == 1.0
+
+    bounded = QueryEngine(DLPlusIndex(relation, max_layers=4).build(), cache_size=0)
+    with pytest.raises(IndexCapacityError):
+        bounded.query(w, 5)
+    with pytest.raises(IndexCapacityError):
+        bounded.query_batch(np.stack([w, np.array([0.1, 0.6, 0.3])]), 5)
+    # The two-row batch served nothing: it counts as one failed query.
+    stats = bounded.stats()
     assert stats["queries"] == 2.0
     assert stats["batched_queries"] == 1.0
     assert stats["hit_rate"] == 0.0
     assert stats["queue_depth"] == 0.0
     assert stats["max_queue_depth"] == 2.0
 
-    auto = QueryEngine(index, cache_size=0)
-    result = auto.query(w, 5)
-    ids, scores = process_top_k(
-        index.structure, normalize_weights(w, 3), 5, AccessCounter()
-    )
-    np.testing.assert_array_equal(result.ids, ids)
-    assert result.scores.tobytes() == scores.tobytes()
-    assert auto.stats().get("kernel_native", 0.0) == 0.0
 
-
-def test_forced_native_on_unsupported_shape_runs_csr_with_workspace():
-    """kernel="native" on d > 7 (outside the C walker's bitwise contract)
-    serves through the csr kernel with the engine's solo workspace and is
-    counted as csr — bitwise equal to the reference kernel."""
+def test_unsupported_native_shape_runs_csr_with_workspace():
+    """d > 7 (outside the C walker's bitwise contract) is served through
+    the csr kernel with the engine's solo workspace, whatever the host,
+    and is counted as csr — bitwise equal to the reference kernel."""
     from repro.core.native import NATIVE_MAX_DIM
 
     d = NATIVE_MAX_DIM + 1
     relation = generate("IND", 300, d, seed=35)
     index = DLPlusIndex(relation).build()
-    engine = QueryEngine(index, cache_size=0, kernel="native")
+    engine = QueryEngine(index, cache_size=0)
     rng = np.random.default_rng(35)
     for w in random_weights(rng, d, 5):
         got = engine.query(w, 6)

@@ -122,6 +122,8 @@ def test_bad_shapes_raise_like_before(index):
     cases = [
         (np.full((4, 2), 0.5), lambda m: _row_by_row_error(m, 3)),
         (np.full((4, 4), 0.25), lambda m: _row_by_row_error(m, 3)),
+        # No rows, wrong width: the error one row of that width raises.
+        (np.empty((0, 7)), lambda m: _row_by_row_error(np.full((1, 7), 1 / 7), 3)),
         (np.ones((2, 2, 3)), None),
     ]
     for engine in engines(index, 32):
@@ -143,6 +145,17 @@ def test_bad_shapes_raise_like_before(index):
         assert engine.metrics.queries == 0
         assert engine.cache.stats() == ResultCache(32).stats()
         assert engine.query_batch(np.empty((0, 3)), 4) == []
+
+
+def test_engines_take_no_kernel_option(index):
+    """Dispatch alone picks the kernel: neither engine takes a kernel
+    option, and neither carries a pinned kernel."""
+    with pytest.raises(TypeError):
+        QueryEngine(index, kernel="csr")
+    with pytest.raises(TypeError):
+        ClusterEngine(index.relation, shards=2, kernel="csr")
+    for engine in engines(index, 0):
+        assert not hasattr(engine, "kernel")
 
 
 @pytest.mark.parametrize("cache_size", [0, 64])
