@@ -48,6 +48,24 @@ def as_integer(value, what: str) -> int:
     return int(as_float)
 
 
+def validate_k(k) -> int:
+    """Validate a retrieval size and return it as a plain ``int``.
+
+    Accepts anything integral (``int``, ``np.int64``, ``2.0``) and raises
+    :class:`~repro.exceptions.InvalidQueryError` on non-integral values —
+    ``np.asarray(k, dtype=np.int64)`` used to silently truncate ``k=2.5``
+    to ``k=2`` on the batched path, so a malformed request returned two
+    results instead of failing.  Shared by :meth:`TopKIndex.query`,
+    :class:`~repro.storage.DiskResidentIndex`, the serving engines and the
+    gateway, so every entry point enforces the same contract.  Strings
+    and booleans (python or numpy) are rejected (see :func:`as_integer`).
+    """
+    value = as_integer(k, "retrieval size k")
+    if value < 1:
+        raise InvalidQueryError(f"retrieval size k must be >= 1, got {k}")
+    return value
+
+
 @dataclass
 class TopKResult:
     """Answer of one top-k query.
@@ -108,8 +126,7 @@ class TopKIndex(ABC):
         """Answer a top-k query; validates inputs and normalizes weights."""
         if not self._built:
             self.build()
-        if k < 1:
-            raise InvalidQueryError(f"retrieval size k must be >= 1, got {k}")
+        k = validate_k(k)
         w = normalize_weights(weights, self.relation.d)
         counter = counter if counter is not None else AccessCounter()
         ids, scores = self._query(w, min(k, self.relation.n), counter)

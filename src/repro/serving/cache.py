@@ -65,9 +65,14 @@ class ResultCache:
         self._lock = threading.Lock()
 
     def make_key(self, weights: np.ndarray, k: int, version: int) -> CacheKey:
-        """The cache key of a (normalized weights, k, version) query."""
-        row = np.asarray(weights, dtype=np.float64).reshape(1, -1)
-        return self.make_keys(row, [k], version)[0]
+        """The cache key of one normalized float64 weight vector.
+
+        The key :meth:`make_keys` gives that vector as a one-row matrix
+        (rounding is elementwise, so one row rounds alike on its own),
+        without the matrix pass: the serving loop's admission lookup
+        builds one key per request.
+        """
+        return (tuple(weights.round(self.decimals).tolist()), int(k), int(version))
 
     def make_keys(
         self, weights_matrix: np.ndarray, ks, version: int
@@ -78,7 +83,7 @@ class ResultCache:
         ``decimals`` places in one pass and read back with one
         ``tolist``; row ``i``'s values, as a tuple of python floats, are
         paired with ``int(ks[i])`` and the version.  :meth:`make_key` is
-        the one-row call.
+        the one-row form.
         """
         rounded = np.asarray(weights_matrix, dtype=np.float64).round(self.decimals)
         version = int(version)
@@ -98,6 +103,26 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            ids, scores = entry
+            return ids.copy(), scores.copy()
+
+    def probe(self, key: CacheKey) -> tuple[np.ndarray, np.ndarray] | None:
+        """:meth:`get` without counting a miss.
+
+        For a lookup whose miss is served, and counted, by a later
+        :meth:`get` of the same key: the serving loop's admission lookup
+        (:meth:`~repro.serving.engine.ServingLoop.cached_answer`).  A hit
+        is counted as in :meth:`get`.  The two stay separate so the
+        loop's lookup pays no extra call per row.
+        """
+        if self.capacity == 0:
+            return None
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1

@@ -51,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.core.base import TopKIndex, TopKResult, as_integer
+from repro.core.base import TopKIndex, TopKResult, validate_k
 from repro.core.dispatch import get_jit_kernel, select_kernel
 from repro.core.native import NativeWorkspace, build_info
 from repro.core.query import (
@@ -68,24 +68,6 @@ from repro.serving.metrics import MetricsRegistry, QueryRecord
 from repro.stats import AccessCounter
 
 
-def validate_k(k) -> int:
-    """Validate a retrieval size and return it as a plain ``int``.
-
-    Accepts anything integral (``int``, ``np.int64``, ``2.0``) and raises
-    :class:`~repro.exceptions.InvalidQueryError` on non-integral values —
-    ``np.asarray(k, dtype=np.int64)`` used to silently truncate ``k=2.5``
-    to ``k=2`` on the batched path, so a malformed request returned two
-    results instead of failing.  Shared by the engine, the cluster
-    coordinator, and the gateway so every serving entry point enforces the
-    same contract.  Strings and booleans (python or numpy) are rejected
-    (see :func:`~repro.core.base.as_integer`).
-    """
-    value = as_integer(k, "retrieval size k")
-    if value < 1:
-        raise InvalidQueryError(f"retrieval size k must be >= 1, got {k}")
-    return value
-
-
 class ServingLoop:
     """The one cached serving loop, shared by every serving engine.
 
@@ -94,8 +76,12 @@ class ServingLoop:
     one pass, every cache key comes from one rounded matrix, cache hits
     are answered, duplicates of an in-flight key are deferred until their
     first occurrence is computed, the misses are grouped by effective k,
-    and each call is counted by one metrics record.  A subclass provides
-    ``d``/``n``/``version`` and three hooks:
+    and each call is counted by one metrics record.  A front end that
+    queues requests (the :class:`~repro.serving.AsyncGateway`) asks
+    :meth:`cached_answer` first: a hit is answered at admission from the
+    same cache and keys, and only misses are queued, coalesced and
+    served through the loop.  A subclass provides ``d``/``n``/``version``
+    and three hooks:
 
     * :meth:`_compute` — the answers for one k-group of cache misses;
     * :meth:`_cached` — the result a cache hit returns;
@@ -161,6 +147,38 @@ class ServingLoop:
         raw = w[None, :]
         normalized = normalize_rows(raw, self.d)
         return self._serve_rows(raw, normalized, [validate_k(k)], batched=False)[0]
+
+    def cached_answer(self, raw: np.ndarray, k: int) -> TopKResult | None:
+        """The cached answer to one request, or ``None``: admission's lookup.
+
+        ``raw`` is one weight vector already validated by
+        :func:`check_weights` and ``k`` a :func:`validate_k` size.  A hit
+        is the result :meth:`query` would return; it is counted once, as a
+        non-batched query, with one registry lock round.  ``None`` counts
+        nothing: the caller serves the request through the loop, which
+        counts the miss.  The lookup is skipped (``None``) with caching
+        off, and when the version moved since the loop last served, so
+        that the loop prunes the old version's entries first.  The row is
+        normalized as ``raw / sum``, bitwise a row of
+        :func:`normalize_rows`, so the key is the one the loop builds.
+        """
+        cache = self.cache
+        if not cache.capacity:
+            return None
+        start = time.perf_counter()
+        version = self.version
+        if version != self._seen_version:
+            return None
+        n = self.n
+        key = cache.make_key(raw / np.add.reduce(raw), k if k < n else n, version)
+        cached = cache.probe(key)
+        if cached is None:
+            return None
+        result = self._cached(*cached)
+        self.metrics.record_external(
+            cost=0, seconds=time.perf_counter() - start, hit=True
+        )
+        return result
 
     def query_batch(self, weights_matrix: np.ndarray, k) -> list[TopKResult]:
         """Serve one query per row of ``weights_matrix``, amortizing overhead.

@@ -5,15 +5,26 @@ matrix (one native crossing per k-group when the compiler is present, the
 lane-parallel batch kernel on hosts without it), but production traffic
 arrives as concurrent *single* queries — nobody hands the engine a
 pre-assembled weight matrix.  :class:`AsyncGateway` closes that gap:
-concurrent ``await gateway.query(w, k)`` calls are coalesced into the rows
-of one ``query_batch`` call under a flush window
-("flush at B=32 or 2 ms, whichever first"), the way PREFER-style view
-servers and threshold-algorithm pipelines amortize per-request overhead
-across a request stream.
+concurrent ``await gateway.query(w, k)`` calls that miss the engine's
+result cache are coalesced into the rows of one ``query_batch`` call under
+a flush window ("flush at B=32 or 2 ms, whichever first"), the way
+PREFER-style view servers and threshold-algorithm pipelines amortize
+per-request overhead across a request stream.
+
+Cache hits at admission
+-----------------------
+A cache hit evaluates no tuple, so there is no walk for a batch to
+amortize.  Every request is looked up in the engine's cache as it arrives
+(:meth:`~repro.serving.engine.ServingLoop.cached_answer`); a hit is
+answered there and then, without a queue slot or the flush window, and is
+counted once in the engine's registry and once in its tenant's.  Only
+misses are queued and coalesced.  A lookup right after a write (the
+engine has not yet seen the new version) falls through to the queue, so
+the engine's loop still prunes the old version's entries.
 
 Coalescing
 ----------
-Arriving requests are queued per tenant.  A single flush worker opens a
+Arriving misses are queued per tenant.  A single flush worker opens a
 window anchored at the oldest pending request and dispatches a batch when
 either the window expires (*flush-on-deadline*) or ``max_batch`` requests
 are pending (*flush-on-size*).  Each flush drains requests **round-robin
@@ -23,12 +34,13 @@ rows, one k per row, through one ``engine.query_batch`` call — so every
 answer inherits the engine's bitwise-identity contract: a coalesced answer
 is byte-for-byte the answer ``engine.query(w, k)`` would have returned.
 Both the single-node :class:`~repro.serving.QueryEngine` and the sharded
-:class:`~repro.cluster.ClusterEngine` are accepted (the gateway only needs
-``d``, ``query_batch``, and per-row ``cost``).
+:class:`~repro.cluster.ClusterEngine` are accepted (the gateway needs
+``d``, ``cached_answer``, ``query_batch``, and per-row ``cost``).
 
 Admission control and backpressure
 ----------------------------------
-Two caps shed load *at arrival* instead of queueing unboundedly:
+Two caps shed misses *at arrival* instead of queueing unboundedly (a hit
+holds no slot, so it is answered even when the queue is full):
 ``max_pending`` bounds the not-yet-dispatched queue and ``max_inflight``
 bounds everything admitted but not yet answered.  A request over either
 cap fails fast with :class:`~repro.exceptions.GatewayOverloadError` —
@@ -38,14 +50,15 @@ backlog.
 
 SLOs
 ----
-Every completed request records its end-to-end latency (enqueue to
+Every completed request records its end-to-end latency (arrival to
 resolution, on the gateway's clock) into its tenant's
 :class:`~repro.serving.MetricsRegistry`; latencies above ``slo_target_ms``
 bump the registry's ``slo_violations`` counter.  :meth:`AsyncGateway.stats`
 reports per-tenant snapshots plus the pooled roll-up
 (:meth:`MetricsRegistry.aggregate` — union percentiles, pooled
-throughput), and gateway-level batch occupancy (mean lanes per flush, the
-figure that shows coalescing actually fills the engine's batches).
+throughput), the count of admission hits, and gateway-level batch
+occupancy (mean lanes of misses per flush, the figure that shows
+coalescing actually fills the engine's batches).
 
 Determinism under test
 ----------------------
@@ -80,7 +93,7 @@ __all__ = ["AsyncGateway"]
 
 @dataclass
 class _Pending:
-    """One admitted request waiting for its batch lane."""
+    """One admitted cache miss waiting for its batch lane."""
 
     #: Raw weights as submitted — forwarded untouched so the engine
     #: normalizes exactly once, keeping answers bitwise identical to a
@@ -93,15 +106,15 @@ class _Pending:
 
 
 class AsyncGateway:
-    """Coalesce concurrent single-query traffic into ``query_batch`` rows.
+    """Answer cache hits at admission; coalesce misses into ``query_batch`` rows.
 
     Parameters
     ----------
     engine:
         A :class:`~repro.serving.QueryEngine` or
-        :class:`~repro.cluster.ClusterEngine` (anything exposing ``d`` and
-        ``query_batch(matrix, ks)`` with one k per row, whose results
-        carry ``cost``).
+        :class:`~repro.cluster.ClusterEngine` (anything exposing ``d``,
+        ``cached_answer(raw, k)`` and ``query_batch(matrix, ks)`` with one
+        k per row, whose results carry ``cost``).
     max_batch:
         Flush-on-size threshold: a batch is dispatched the moment this
         many requests are pending (also the lane cap per flush).
@@ -179,6 +192,9 @@ class AsyncGateway:
         self.metrics = MetricsRegistry(latency_window=latency_window)
         self._tenant_metrics: dict[str, MetricsRegistry] = {}
         self.accepted = 0
+        #: Accepted requests answered from the engine's cache at
+        #: admission, without entering a queue.
+        self.admission_hits = 0
         self.rejected_queue_full = 0
         self.rejected_inflight = 0
         self._arrival = asyncio.Event()
@@ -191,11 +207,15 @@ class AsyncGateway:
     # ------------------------------------------------------------------ #
 
     async def query(self, weights, k, *, tenant: str = "default"):
-        """Serve one top-k query through the coalescer.
+        """Serve one top-k query: a cache hit at once, a miss coalesced.
 
         Validates eagerly (a malformed request raises before anything is
-        queued), admits under the pending/in-flight caps, then awaits its
-        batch lane.  The returned result is bitwise identical to
+        queued), then asks the engine's cache
+        (:meth:`~repro.serving.engine.ServingLoop.cached_answer`): a hit
+        is answered at admission, with no queue slot, flush window or
+        lane, so the caps do not apply to it.  A miss is admitted under
+        the pending/in-flight caps and awaits its batch lane.  The
+        returned result is bitwise identical to
         ``engine.query(weights, k)``.  Cancelling the awaiting task
         removes the request from its batch: an already-cancelled request
         never occupies a lane.
@@ -204,6 +224,14 @@ class AsyncGateway:
             raise GatewayClosedError("gateway is closed")
         raw = check_weights(weights, self.engine.d)  # raw is queued
         k = validate_k(k)
+        tenant = str(tenant)
+        arrived = self._clock()
+        result = self.engine.cached_answer(raw, k)
+        if result is not None:
+            self.accepted += 1
+            self.admission_hits += 1
+            self._record(tenant, 0, self._clock() - arrived, batched=False)
+            return result
         if self._pending >= self.max_pending:
             self.rejected_queue_full += 1
             raise GatewayOverloadError(
@@ -219,9 +247,9 @@ class AsyncGateway:
         item = _Pending(
             weights=raw,
             k=k,
-            tenant=str(tenant),
+            tenant=tenant,
             future=loop.create_future(),
-            enqueued_at=self._clock(),
+            enqueued_at=arrived,
         )
         queue = self._queues.get(item.tenant)
         if queue is None:
@@ -359,19 +387,8 @@ class AsyncGateway:
         now = self._clock()
         self.metrics.record_batch(len(batch), now - start)
         for item, result in zip(batch, results):
-            latency = now - item.enqueued_at
-            violated = (
-                self.slo_target_ms is not None
-                and latency * 1e3 > self.slo_target_ms
-            )
-            # A zero-cost answer means the engine served it from its
-            # result cache (any real traversal evaluates >= 1 tuple).
-            self._tenant_registry(item.tenant).record_external(
-                cost=result.cost,
-                seconds=latency,
-                hit=result.cost == 0,
-                batched=True,
-                slo_violated=violated,
+            self._record(
+                item.tenant, result.cost, now - item.enqueued_at, batched=True
             )
             if not item.future.done():
                 item.future.set_result(result)
@@ -388,26 +405,44 @@ class AsyncGateway:
     # Metrics / lifecycle
     # ------------------------------------------------------------------ #
 
-    def _tenant_registry(self, tenant: str) -> MetricsRegistry:
+    def _record(
+        self, tenant: str, cost: int, latency: float, *, batched: bool
+    ) -> None:
+        """Count one answered request, of Definition-9 ``cost``, in its
+        tenant's registry."""
         registry = self._tenant_metrics.get(tenant)
         if registry is None:
             registry = MetricsRegistry(latency_window=self._latency_window)
             self._tenant_metrics[tenant] = registry
-        return registry
+        # A zero-cost answer came from the engine's result cache (any
+        # real traversal evaluates >= 1 tuple).
+        registry.record_external(
+            cost=cost,
+            seconds=latency,
+            hit=cost == 0,
+            batched=batched,
+            slo_violated=(
+                self.slo_target_ms is not None
+                and latency * 1e3 > self.slo_target_ms
+            ),
+        )
 
     def stats(self) -> dict:
         """Gateway snapshot: admission, occupancy, roll-up, per-tenant.
 
         ``rollup`` pools every tenant registry through
         :meth:`MetricsRegistry.aggregate` (union percentiles, pooled
-        ``throughput_qps``, summed ``slo_violations``);
-        ``batch_occupancy`` is the mean number of lanes per flush — the
-        number that shows coalescing actually fills the engine's batches.
+        ``throughput_qps``, summed ``slo_violations``), admission hits
+        included; ``admission_hits`` counts the accepted requests answered
+        from the cache at admission; ``batch_occupancy`` is the mean
+        number of lanes per flush, all of them misses — the number that
+        shows coalescing actually fills the engine's batches.
         """
         batch = self.metrics.as_dict()
         registries = list(self._tenant_metrics.values())
         return {
             "accepted": float(self.accepted),
+            "admission_hits": float(self.admission_hits),
             "rejected_queue_full": float(self.rejected_queue_full),
             "rejected_inflight": float(self.rejected_inflight),
             "pending": float(self._pending),

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.base import validate_k
 from repro.core.index import DLIndex
 from repro.core.query import process_top_k
 from repro.exceptions import ReproError
@@ -59,6 +60,7 @@ class DiskResidentIndex:
 
     def query(self, weights: np.ndarray, k: int) -> DiskQueryResult:
         """Answer a top-k query with all real tuple reads going to disk."""
+        k = validate_k(k)
         w = normalize_weights(weights, self.index.relation.d)
         self.heap.reset_io_counters()
         counter = AccessCounter()

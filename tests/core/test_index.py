@@ -46,6 +46,24 @@ def test_invalid_inputs_rejected(relation):
         index.query(np.array([0.5, 0.5]), 3)
 
 
+@pytest.mark.parametrize("k", [2.5, True, np.True_], ids=["2.5", "True", "np.True_"])
+def test_non_integral_k_rejected(relation, k):
+    """The library entry point parses k like the serving engines: a
+    non-integral or boolean size raises instead of being coerced."""
+    index = DLPlusIndex(relation).build()
+    with pytest.raises(InvalidQueryError, match="must be an integer"):
+        index.query(np.ones(3) / 3, k)
+
+
+@pytest.mark.parametrize("k", [np.int64(3), 3.0], ids=["np.int64", "3.0"])
+def test_integral_k_served(relation, k):
+    index = DLPlusIndex(relation).build()
+    result = index.query(np.ones(3) / 3, k)
+    expected = index.query(np.ones(3) / 3, 3)
+    assert result.ids.tobytes() == expected.ids.tobytes()
+    assert result.scores.tobytes() == expected.scores.tobytes()
+
+
 def test_k_clamped_to_n():
     relation = generate("IND", 20, 2, seed=0)
     index = DLIndex(relation).build()

@@ -30,6 +30,19 @@ def test_miss_counts():
     assert cache.misses == 1
 
 
+def test_probe_counts_a_hit_but_not_a_miss():
+    cache = ResultCache(4)
+    key = cache.make_key(np.array([0.5, 0.5]), 3, 0)
+    assert cache.probe(key) is None
+    assert cache.misses == 0
+    cache.put(key, *entry(3))
+    ids, _ = cache.probe(key)
+    ids[0] = 999  # a copy, like get
+    assert cache.get(key)[0][0] == 0
+    assert cache.hits == 2 and cache.misses == 0
+    assert ResultCache(0).probe(key) is None
+
+
 def test_lru_eviction_order():
     cache = ResultCache(2)
     keys = [cache.make_key(np.array([w, 1 - w]), 3, 0) for w in (0.2, 0.4, 0.6)]

@@ -2,7 +2,8 @@
 
 Every test in this module drives the gateway with an injected fake clock
 and steps the event loop by hand — flush-on-size, flush-on-deadline,
-cancellation, fairness, admission control, and the bitwise-identity
+cancellation, fairness, admission control, cache hits answered at
+admission, accounting, freshness across writes, and the bitwise-identity
 acceptance property all run without a single real timed sleep (the
 ``forbid_real_sleeps`` fixture makes ``time.sleep``/``asyncio.sleep``
 raise if anything tries).
@@ -16,6 +17,7 @@ import pytest
 
 from repro.cluster import ClusterEngine
 from repro.core import DLPlusIndex
+from repro.core.maintenance import DynamicDualLayerIndex
 from repro.data import generate
 from repro.exceptions import (
     GatewayClosedError,
@@ -23,6 +25,7 @@ from repro.exceptions import (
     InvalidQueryError,
     InvalidWeightError,
 )
+from repro.relation import Relation
 from repro.serving import AsyncGateway, QueryEngine
 
 
@@ -420,14 +423,17 @@ def test_coalesced_answers_bitwise_identical_property(
     for i in cancelled:
         tasks[i].cancel()
     step(loop)
-    tasks.extend(submit(loop, gateway, w, k) for w, k in plan[5:])
-    for _ in range(64):
-        if all(task.done() for task in tasks):
-            break
-        step(loop)
-        clock.advance(0.002)
-        step(loop)
-    assert all(task.done() for task in tasks)
+    # The second wave coalesces with the first; the third arrives after
+    # both flushed, so its repeats are answered at admission.
+    for wave in (plan[5:25], plan[25:]):
+        tasks.extend(submit(loop, gateway, w, k) for w, k in wave)
+        for _ in range(64):
+            if all(task.done() for task in tasks):
+                break
+            step(loop)
+            clock.advance(0.002)
+            step(loop)
+        assert all(task.done() for task in tasks)
     hits = 0
     for i, (task, (w, k)) in enumerate(zip(tasks, plan)):
         if i in cancelled:
@@ -442,8 +448,12 @@ def test_coalesced_answers_bitwise_identical_property(
         hits += result.cost == 0
     assert hits > 0  # the cache-hit path really ran
     stats = gateway.stats()
-    assert stats["rollup"]["queries"] == float(len(plan) - len(cancelled))
+    answered = len(plan) - len(cancelled)
+    assert stats["rollup"]["queries"] == float(answered)
     assert stats["rollup"]["cache_hits"] == float(hits)
+    # Hits were answered at admission and the rest took one lane each.
+    assert 0 < stats["admission_hits"] <= hits
+    assert stats["batch_rows"] == answered - stats["admission_hits"]
     assert stats["batch_occupancy"] > 1.0  # coalescing actually engaged
     close(loop, gateway, clock)
 
@@ -553,3 +563,328 @@ def test_gateway_with_executor_still_bitwise():
         expected = oracle.query(w, 5)
         assert result.ids.tobytes() == expected.ids.tobytes()
         assert result.scores.tobytes() == expected.scores.tobytes()
+
+
+# --------------------------------------------------------------------- #
+# Cache hits answered at admission
+# --------------------------------------------------------------------- #
+
+
+def assert_same_answer(result, expected) -> None:
+    assert result.ids.tobytes() == expected.ids.tobytes()
+    assert result.scores.tobytes() == expected.scores.tobytes()
+    assert len(result) == len(expected)
+
+
+def test_hit_resolves_at_admission_without_clock_or_flush(
+    loop, forbid_real_sleeps, index
+):
+    """A cached request is answered in the task's first step: the clock
+    never moves, no flush runs, and it is counted once per registry."""
+    asyncio.set_event_loop(loop)
+    clock = FakeClock()
+    gateway = make_gateway(index, clock, cache_size=64, flush_window_ms=1000.0)
+    engine = gateway.engine
+    w = np.array([0.2, 0.3, 0.5])
+    expected = engine.query(w, 5)  # fills the cache
+    task = submit(loop, gateway, w, 5, tenant="t")
+    step(loop, rounds=1)
+    assert task.done()
+    assert_same_answer(task.result(), expected)
+    assert task.result().cost == 0
+    assert clock.now == 0.0
+    stats = gateway.stats()
+    assert stats["batches"] == 0.0
+    assert stats["pending"] == 0.0 and stats["inflight"] == 0.0
+    assert stats["accepted"] == 1.0 and stats["admission_hits"] == 1.0
+    tenant = stats["per_tenant"]["t"]
+    assert tenant["queries"] == 1.0 and tenant["cache_hits"] == 1.0
+    assert tenant["batched_queries"] == 0.0
+    engine_stats = engine.stats()
+    assert engine_stats["queries"] == 2.0  # the warm-up and the hit
+    assert engine_stats["cache_hits"] == 1.0
+    assert engine_stats["batched_queries"] == 0.0
+    assert engine.cache.hits == 1 and engine.cache.misses == 1
+    close(loop, gateway, clock)
+
+
+def test_hit_answered_while_queue_is_full(loop, forbid_real_sleeps, index):
+    """A hit needs no queue slot: with max_pending misses parked it is
+    still answered, while the next miss is shed."""
+    asyncio.set_event_loop(loop)
+    clock = FakeClock()
+    gateway = make_gateway(
+        index, clock, cache_size=64, flush_window_ms=5.0, max_pending=2
+    )
+    cached = np.array([0.6, 0.2, 0.2])
+    expected = gateway.engine.query(cached, 4)
+    rng = np.random.default_rng(23)
+    parked = [
+        submit(loop, gateway, rng.dirichlet(np.ones(3)), 5) for _ in range(2)
+    ]
+    step(loop)
+    assert gateway.stats()["pending"] == 2.0
+    hit = submit(loop, gateway, cached, 4)
+    step(loop)
+    assert hit.done()
+    assert_same_answer(hit.result(), expected)
+    shed = submit(loop, gateway, rng.dirichlet(np.ones(3)), 5)
+    step(loop)
+    with pytest.raises(GatewayOverloadError):
+        shed.result()
+    assert gateway.rejected_queue_full == 1
+    assert not any(task.done() for task in parked)
+    clock.advance(0.006)
+    step(loop)
+    assert all(task.done() and not task.exception() for task in parked)
+    stats = gateway.stats()
+    assert stats["accepted"] == 3.0 and stats["admission_hits"] == 1.0
+    assert stats["batch_rows"] == 2.0
+    close(loop, gateway, clock)
+
+
+def test_miss_still_waits_for_its_window(loop, forbid_real_sleeps, index):
+    """With the cache on, a miss is queued and waits out the window even
+    after a hit was answered at admission beside it."""
+    asyncio.set_event_loop(loop)
+    clock = FakeClock()
+    gateway = make_gateway(index, clock, cache_size=64, flush_window_ms=2.0)
+    cached = np.array([0.6, 0.2, 0.2])
+    gateway.engine.query(cached, 5)
+    miss = submit(loop, gateway, np.array([0.2, 0.3, 0.5]), 7)
+    hit = submit(loop, gateway, cached, 5)
+    step(loop)
+    assert hit.done() and not miss.done()
+    clock.advance(0.001)
+    step(loop)
+    assert not miss.done()
+    clock.advance(0.0011)
+    step(loop)
+    assert miss.done()
+    assert miss.result().cost > 0
+    expected = QueryEngine(index, cache_size=0).query(
+        np.array([0.2, 0.3, 0.5]), 7
+    )
+    assert_same_answer(miss.result(), expected)
+    stats = gateway.stats()
+    assert stats["batches"] == 1.0 and stats["batch_occupancy"] == 1.0
+    close(loop, gateway, clock)
+
+
+def test_cancelled_miss_never_takes_a_lane_beside_hits(
+    loop, forbid_real_sleeps, index
+):
+    asyncio.set_event_loop(loop)
+    clock = FakeClock()
+    gateway = make_gateway(index, clock, cache_size=64, flush_window_ms=2.0)
+    cached = np.array([0.3, 0.3, 0.4])
+    gateway.engine.query(cached, 5)
+    keep = submit(loop, gateway, np.array([0.5, 0.25, 0.25]), 5)
+    drop = submit(loop, gateway, np.array([0.1, 0.1, 0.8]), 5)
+    hit = submit(loop, gateway, cached, 5)
+    step(loop)
+    assert hit.done() and not drop.done()
+    drop.cancel()
+    step(loop)
+    clock.advance(0.003)
+    step(loop)
+    assert keep.done() and drop.cancelled()
+    stats = gateway.stats()
+    assert stats["batch_rows"] == 1.0  # the cancelled miss took no lane
+    assert stats["admission_hits"] == 1.0
+    assert stats["inflight"] == 0.0
+    close(loop, gateway, clock)
+
+
+def run_plan(loop, gateway, clock, plan, wave: int = 6):
+    """Send ``plan`` in waves, each flushed before the next is sent, so
+    later waves find earlier answers in the cache."""
+    results = []
+    for start in range(0, len(plan), wave):
+        tasks = [submit(loop, gateway, w, k) for w, k in plan[start : start + wave]]
+        step(loop)
+        clock.advance(gateway.flush_window + 1e-6)
+        step(loop)
+        assert all(task.done() for task in tasks)
+        results.extend(task.result() for task in tasks)
+    return results
+
+
+def accounting_plan(d: int, seed: int):
+    rng = np.random.default_rng(seed)
+    distinct = [rng.dirichlet(np.ones(d)) for _ in range(6)]
+    return [
+        (distinct[int(i)], int(k))
+        for i, k in zip(rng.integers(0, 6, size=36), rng.choice([3, 5], size=36))
+    ]
+
+
+@pytest.mark.parametrize("cache_size", [64, 0])
+@pytest.mark.parametrize("kind", ["engine", "cluster"])
+def test_every_request_counted_once(loop, forbid_real_sleeps, kind, cache_size):
+    """Each gateway request is one query in ``engine.stats()``, one
+    lookup in ``ResultCache.hits``/``misses`` and one query in the
+    roll-up, whether it hit at admission, hit in its flush or was
+    computed.  With caching off nothing is answered at admission and
+    every request is one batched miss, as before admission hits."""
+    asyncio.set_event_loop(loop)
+    relation = generate("IND", 300, 3, seed=29)
+    if kind == "engine":
+        engine = QueryEngine(DLPlusIndex(relation).build(), cache_size=cache_size)
+    else:
+        engine = ClusterEngine(relation, shards=2, cache_size=cache_size)
+    clock = FakeClock()
+    gateway = AsyncGateway(
+        engine, max_batch=8, flush_window_ms=2.0, clock=clock, sleep=clock.sleep
+    )
+    plan = accounting_plan(3, seed=31)
+    results = run_plan(loop, gateway, clock, plan)
+    n = float(len(plan))
+    hits = float(sum(result.cost == 0 for result in results))
+    stats = engine.stats()
+    rollup = gateway.stats()["rollup"]
+    admission = gateway.stats()["admission_hits"]
+    assert stats["queries"] == n and rollup["queries"] == n
+    assert stats["cache_hits"] == hits == rollup["cache_hits"]
+    assert stats["cache_misses"] == n - hits == rollup["cache_misses"]
+    assert stats["batched_queries"] == n - admission
+    if cache_size:
+        assert admission > 0
+        assert engine.cache.hits == hits
+        assert engine.cache.misses == n - hits
+        if kind == "cluster":
+            assert all(
+                result.merge == "cache" for result in results if result.cost == 0
+            )
+    else:
+        assert admission == 0.0 and hits == 0.0
+        assert engine.cache.hits == engine.cache.misses == 0
+        assert gateway.stats()["batch_rows"] == n
+    close(loop, gateway, clock)
+
+
+# --------------------------------------------------------------------- #
+# Freshness across writes
+# --------------------------------------------------------------------- #
+
+LAYERS = 4
+
+
+def rebuilt_answer(ids, rows, w, k):
+    """The answer of an engine built from scratch on the live rows
+    (``rows[i]`` has id ``ids[i]``, ascending), in those ids."""
+    fresh = QueryEngine(
+        DLPlusIndex(Relation(rows), max_layers=LAYERS).build(), cache_size=0
+    )
+    result = fresh.query(w, k)
+    result.ids = np.asarray(ids, dtype=result.ids.dtype)[result.ids]
+    return result
+
+
+def ask(loop, gateway, w, k):
+    """One request through a ``max_batch=1`` gateway: a miss flushes at
+    once, so no clock advance is needed."""
+    task = submit(loop, gateway, w, k)
+    step(loop)
+    assert task.done()
+    return task.result()
+
+
+def cluster_live_rows(cluster):
+    pairs = sorted(
+        (int(gid), row)
+        for shard in cluster.shards
+        for gid, row in zip(shard.global_ids, shard.relation.matrix)
+    )
+    return [gid for gid, _ in pairs], np.vstack([row for _, row in pairs])
+
+
+def test_gateway_answers_fresh_across_cluster_writes(loop, forbid_real_sleeps):
+    """Before and after a visible and an absorbed cluster write, the same
+    request answers bitwise like an engine rebuilt on the live rows: the
+    visible write falls through to the queue, the absorbed one (its
+    cache entries re-keyed) still hits at admission."""
+    asyncio.set_event_loop(loop)
+    relation = generate("IND", 240, 3, seed=37)
+    cluster = ClusterEngine(
+        relation,
+        shards=2,
+        index_kwargs={"max_layers": LAYERS},
+        cache_size=64,
+    )
+    clock = FakeClock()
+    gateway = AsyncGateway(
+        cluster, max_batch=1, flush_window_ms=2.0, clock=clock, sleep=clock.sleep
+    )
+    w, k = np.array([0.5, 0.2, 0.3]), 3
+
+    def check(result):
+        assert_same_answer(result, rebuilt_answer(*cluster_live_rows(cluster), w, k))
+
+    check(ask(loop, gateway, w, k))
+    before = ask(loop, gateway, w, k)
+    check(before)
+    assert before.merge == "cache" and gateway.admission_hits == 1
+
+    cluster.insert(np.full(3, 1e-3))  # beats every tuple: visible
+    assert cluster.shard_rebuilds == 1
+    after = ask(loop, gateway, w, k)
+    assert after.cost > 0 and gateway.admission_hits == 1  # queued, computed
+    check(after)
+    check(ask(loop, gateway, w, k))
+    assert gateway.admission_hits == 2
+
+    cluster.insert(np.full(3, 0.999))  # dominated by a last-layer member
+    assert cluster.writes_absorbed == 1
+    absorbed = ask(loop, gateway, w, k)
+    assert absorbed.merge == "cache" and gateway.admission_hits == 3
+    check(absorbed)
+    close(loop, gateway, clock)
+
+
+def test_gateway_answers_fresh_across_dynamic_writes(loop, forbid_real_sleeps):
+    """A DynamicDualLayerIndex insert or delete bumps the version: the
+    next request falls through to the queue and answers like an engine
+    rebuilt on the live rows, then hits at admission again."""
+    asyncio.set_event_loop(loop)
+    rows = generate("IND", 120, 3, seed=41).matrix
+    dynamic = DynamicDualLayerIndex(d=3)
+    live = {dynamic.insert(row): row for row in rows}
+    clock = FakeClock()
+    gateway = AsyncGateway(
+        QueryEngine(dynamic, cache_size=64),
+        max_batch=1,
+        flush_window_ms=2.0,
+        clock=clock,
+        sleep=clock.sleep,
+    )
+    w, k = np.array([0.25, 0.35, 0.4]), 4
+
+    def check(result):
+        ids = sorted(live)
+        assert_same_answer(
+            result, rebuilt_answer(ids, np.vstack([live[i] for i in ids]), w, k)
+        )
+
+    first = ask(loop, gateway, w, k)
+    check(first)
+    hits = 0
+    for write in ("insert", "delete", "delete-top"):
+        hit = ask(loop, gateway, w, k)
+        hits += 1
+        assert hit.cost == 0 and gateway.admission_hits == hits
+        check(hit)
+        if write == "insert":
+            live[dynamic.insert(np.full(3, 1e-3))] = np.full(3, 1e-3)
+        elif write == "delete":
+            victim = max(live)  # the tuple inserted above
+            dynamic.delete(victim)
+            del live[victim]
+        else:
+            victim = int(first.ids[0])  # the best tuple of the first answer
+            dynamic.delete(victim)
+            del live[victim]
+        after = ask(loop, gateway, w, k)
+        assert after.cost > 0 and gateway.admission_hits == hits
+        check(after)
+    close(loop, gateway, clock)

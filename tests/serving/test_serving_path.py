@@ -71,7 +71,8 @@ def scaled_matrices(draw):
 @given(scaled_matrices())
 def test_normalize_rows_bitwise_equals_normalize_weights(matrix):
     """Vectorised normalisation and key rounding equal the per-row
-    functions byte for byte, whatever each row's scale."""
+    functions byte for byte, whatever each row's scale; so does the
+    admission lookup's one-row ``raw / sum``."""
     d = matrix.shape[1]
     normalized = normalize_rows(matrix, d)
     cache = ResultCache(8)
@@ -79,6 +80,7 @@ def test_normalize_rows_bitwise_equals_normalize_weights(matrix):
     for row, key, got in zip(matrix, keys, normalized):
         expected = normalize_weights(row, d)
         assert got.tobytes() == expected.tobytes()
+        assert (row / np.add.reduce(row)).tobytes() == expected.tobytes()
         assert key == cache.make_key(expected, 5, 3)
 
 
@@ -410,3 +412,32 @@ def test_k_beyond_the_built_layers_raises_capacity_error():
         ):
             with pytest.raises(IndexCapacityError):
                 call()
+
+
+@pytest.mark.parametrize("kind", ["engine", "cluster"])
+def test_cached_answer_is_the_loops_hit(index, kind):
+    """``cached_answer`` finds what the loop cached (k clamped to n like
+    the loop's keys), returns it as ``query`` would and counts it once as
+    a non-batched hit; a miss, a moved version or a disabled cache
+    return ``None`` and count nothing."""
+    engine = dict(zip(("engine", "cluster"), engines(index, 16)))[kind]
+    w = np.array([2.0, 1.0, 1.0])
+    assert engine.cached_answer(w, 4) is None  # empty cache
+    assert engine.stats()["queries"] == 0.0 and engine.cache.misses == 0
+    expected = engine.query(w, 10_000)  # k past n: keyed at n
+    hit = engine.cached_answer(w, 5_000)
+    assert hit.ids.tobytes() == expected.ids.tobytes()
+    assert hit.scores.tobytes() == expected.scores.tobytes()
+    assert hit.cost == 0
+    assert type(hit) is type(engine.query(w, 10_000))
+    stats = engine.stats()
+    assert stats["queries"] == 3.0 and stats["cache_hits"] == 2.0
+    assert stats["batched_queries"] == 0.0
+    assert engine.cache.hits == 2 and engine.cache.misses == 1
+    engine._seen_version -= 1  # as if a write landed since the last call
+    assert engine.cached_answer(w, 5_000) is None
+    assert engine.cache.hits == 2
+    off = dict(zip(("engine", "cluster"), engines(index, 0)))[kind]
+    off.query(w, 4)
+    assert off.cached_answer(w, 4) is None
+    assert off.stats()["queries"] == 1.0

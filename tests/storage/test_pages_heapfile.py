@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DLIndex, DLPlusIndex
 from repro.data import generate
-from repro.exceptions import ReproError
+from repro.exceptions import InvalidQueryError, ReproError
 from repro.relation import top_k_bruteforce
 from repro.storage import (
     DiskResidentIndex,
@@ -187,3 +187,31 @@ def test_disk_resident_with_zero_layer(tmp_path):
     result = DiskResidentIndex(index, heap).query(np.ones(3) / 3, 5)
     _, ref = top_k_bruteforce(relation.matrix, np.ones(3) / 3, 5)
     np.testing.assert_allclose(result.scores, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, served",
+    [
+        (2.5, False),
+        (True, False),
+        (np.True_, False),
+        (np.int64(3), True),
+        (3.0, True),
+    ],
+    ids=["2.5", "True", "np.True_", "np.int64", "3.0"],
+)
+def test_disk_resident_query_parses_k(tmp_path, k, served):
+    """Disk execution parses k like every other entry point."""
+    relation = generate("IND", 60, 2, seed=3)
+    index = DLIndex(relation).build()
+    heap = HeapFile.write(relation, tmp_path / "k.heap", buffer_capacity=4)
+    disk = DiskResidentIndex(index, heap)
+    w = np.array([0.3, 0.7])
+    if not served:
+        with pytest.raises(InvalidQueryError, match="must be an integer"):
+            disk.query(w, k)
+        return
+    result = disk.query(w, k)
+    expected = index.query(w, 3)
+    assert result.ids.tobytes() == expected.ids.tobytes()
+    assert result.scores.tobytes() == expected.scores.tobytes()
